@@ -15,8 +15,12 @@
 // defaults to off because the attainable ratio is bounded by the physical
 // core count of the machine (a 1-core container can only show 1.0x).
 //
+// A last section times one-row SQL INSERTs at increasing pending-queue
+// depth in every engine mode; --max-ingest-depth-ratio gates the curve.
+//
 // Usage: micro_ops [--rows N] [--reps N] [--out FILE] [--min-speedup X]
 //                  [--threads N] [--min-parallel-speedup X]
+//                  [--min-cache-speedup X] [--max-ingest-depth-ratio X]
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +28,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -36,6 +41,7 @@
 #include "core/sharded_engine.h"
 #include "core/svc.h"
 #include "relational/executor.h"
+#include "sql/session.h"
 #include "storage/durable_engine.h"
 
 namespace svc {
@@ -269,6 +275,130 @@ size_t RunPlan(const PlanNode& plan, const Database& db,
   return r->NumRows();
 }
 
+// ---- SQL ingest curve -------------------------------------------------------
+// Per-statement cost of a one-row INSERT through SqlSession at pending-queue
+// depths {1k, 4k, 16k}, plus one 2000-row INSERT, in every engine mode. This
+// times the whole write path (parse, session validation and pending-key
+// checks, commit, WAL append) rather than the engine commit alone, so any
+// per-statement work that grows with the queue shows up as a rising curve.
+// --max-ingest-depth-ratio gates cost(16k) / cost(1k) in every mode.
+
+constexpr size_t kIngestDepths[] = {1000, 4000, 16000};
+constexpr int kIngestRounds = 7;       // interleaved rounds across depths
+constexpr int kIngestStmts = 30;       // one-row INSERTs per depth per round
+constexpr size_t kIngestBatch = 2000;  // rows of the batch INSERT
+
+struct IngestCurve {
+  std::string mode;
+  std::vector<double> stmt_us;  // median µs per statement, per depth
+  double batch_us_per_row = 0;
+  double ratio() const { return stmt_us.back() / stmt_us.front(); }
+};
+
+std::string IngestSql(int64_t first, size_t n) {
+  std::string sql = "INSERT INTO fact VALUES ";
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t id = first + static_cast<int64_t>(i);
+    sql += (i == 0 ? "(" : ", (") + std::to_string(id) + ", " +
+           std::to_string(id % 97) + ", 1.5)";
+  }
+  return sql;
+}
+
+/// One session of `mode` over MakeDb(2000) with a view sampled on fact.id
+/// (which hash-partitions fact in sharded mode). Durable sessions log to a
+/// fresh directory under `dir` with fsync off, so the curve measures CPU
+/// work rather than the disk.
+std::unique_ptr<SqlSession> OpenIngestSession(const std::string& mode,
+                                              const std::string& dir) {
+  EngineHandle handle = EngineHandle::Private(MakeDb(2000));
+  if (mode == "shared") {
+    handle = EngineHandle::Shared(std::make_shared<SharedEngine>(MakeDb(2000)));
+  } else if (mode == "sharded") {
+    handle = EngineHandle::Sharded(
+        std::make_shared<ShardedEngine>(MakeDb(2000), 4));
+  } else if (mode == "durable") {
+    DurableOptions dopts;
+    dopts.data_dir = dir;
+    dopts.wal = ParseFsyncSpec("off").value();
+    auto opened = DurableEngine::Open(dopts);
+    if (!opened.ok()) return nullptr;
+    Database db = MakeDb(2000);
+    for (const char* t : {"fact", "dim"}) {
+      if (!(*opened)->CreateTable(t, **db.GetTable(t)).ok()) return nullptr;
+    }
+    handle = EngineHandle::Durable(*opened);
+  }
+  auto session = std::make_unique<SqlSession>(std::move(handle));
+  auto st = session->Execute(
+      "CREATE MATERIALIZED VIEW factView SAMPLING KEY (id) AS "
+      "SELECT id, val FROM fact");
+  if (!st.ok()) {
+    std::fprintf(stderr, "[micro_ops] sql ingest: %s\n",
+                 st.status().ToString().c_str());
+    return nullptr;
+  }
+  return session;
+}
+
+void RunIngestSql(SqlSession* session, const std::string& sql) {
+  auto r = session->Execute(sql);
+  if (!r.ok()) {
+    std::fprintf(stderr, "[micro_ops] sql ingest: %s\n",
+                 r.status().ToString().c_str());
+    std::exit(2);
+  }
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+IngestCurve MeasureIngestCurve(const std::string& mode,
+                               const std::string& dir) {
+  IngestCurve curve;
+  curve.mode = mode;
+  // One session per depth, pre-filled with untimed 1000-row INSERTs; the
+  // depths are then timed in interleaved rounds so drift hits all alike.
+  std::vector<std::unique_ptr<SqlSession>> sessions;
+  std::vector<int64_t> next_id;
+  for (const size_t depth : kIngestDepths) {
+    const std::string sub = dir + "/" + std::to_string(depth);
+    sessions.push_back(OpenIngestSession(mode, sub));
+    if (!sessions.back()) {
+      std::fprintf(stderr, "[micro_ops] sql ingest: cannot open %s\n",
+                   mode.c_str());
+      std::exit(2);
+    }
+    int64_t id = 1000000;
+    for (size_t queued = 0; queued < depth; queued += 1000) {
+      RunIngestSql(sessions.back().get(), IngestSql(id, 1000));
+      id += 1000;
+    }
+    next_id.push_back(id);
+  }
+  std::vector<std::vector<double>> samples(sessions.size());
+  for (int round = 0; round < kIngestRounds; ++round) {
+    for (size_t d = 0; d < sessions.size(); ++d) {
+      std::vector<std::string> stmts;
+      for (int i = 0; i < kIngestStmts; ++i) {
+        stmts.push_back(IngestSql(next_id[d]++, 1));
+      }
+      Stopwatch sw;
+      for (const auto& sql : stmts) RunIngestSql(sessions[d].get(), sql);
+      samples[d].push_back(sw.ElapsedMillis() * 1e3 / kIngestStmts);
+    }
+  }
+  for (const auto& s : samples) curve.stmt_us.push_back(Median(s));
+  // The batch statement at the deepest point.
+  const std::string batch = IngestSql(next_id.back(), kIngestBatch);
+  Stopwatch sw;
+  RunIngestSql(sessions.back().get(), batch);
+  curve.batch_us_per_row = sw.ElapsedMillis() * 1e3 / kIngestBatch;
+  return curve;
+}
+
 }  // namespace
 }  // namespace svc
 
@@ -279,6 +409,7 @@ int main(int argc, char** argv) {
   double min_speedup = 0.0;           // 0 = report only
   double min_parallel_speedup = 0.0;  // 0 = report only
   double min_cache_speedup = 0.0;     // 0 = report only
+  double max_ingest_ratio = 0.0;      // 0 = report only
   int threads = 8;
   std::string out_path = "BENCH_executor.json";
   for (int i = 1; i < argc; ++i) {
@@ -303,6 +434,8 @@ int main(int argc, char** argv) {
       min_parallel_speedup = std::atof(next("--min-parallel-speedup"));
     } else if (std::strcmp(argv[i], "--min-cache-speedup") == 0) {
       min_cache_speedup = std::atof(next("--min-cache-speedup"));
+    } else if (std::strcmp(argv[i], "--max-ingest-depth-ratio") == 0) {
+      max_ingest_ratio = std::atof(next("--max-ingest-depth-ratio"));
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -484,15 +617,11 @@ int main(int argc, char** argv) {
   // Cold = every query re-runs the full cleaning pipeline (the cache-off
   // path, which was the only path before the cleaned-sample cache); warm =
   // the cache serves the memoized samples and each query pays only the
-  // estimator. The CoW ingest measurement drives single-row commits
-  // through a SharedEngine at increasing queue depths: with the chunked
-  // DeltaSet a commit copies only the rows of the last batch, so the cost
-  // stays flat while the queue grows.
+  // estimator.
   struct CacheBench {
     double cold_ms = 0;
     double warm_ms = 0;
     double speedup() const { return cold_ms / warm_ms; }
-    std::vector<std::pair<size_t, double>> commit_us;  // depth -> µs/commit
   } cache_bench;
   {
     const int64_t cache_rows = std::min<int64_t>(rows, 20000);
@@ -548,40 +677,6 @@ int main(int argc, char** argv) {
     std::printf("%-16s cold %8.3f ms   warm %8.3f ms   speedup %7.1fx\n",
                 "svc_query", cache_bench.cold_ms, cache_bench.warm_ms,
                 cache_bench.speedup());
-
-    // CoW ingest: one-row commits at increasing queue depth.
-    std::printf("-- shared-engine ingest commit vs queue depth --\n");
-    for (const size_t depth : {size_t{0}, size_t{2000}, size_t{8000}}) {
-      SharedEngine se(MakeDb(2000));
-      int64_t next_id = 1000000;
-      // Pre-queue `depth` rows as one batch commit.
-      if (depth > 0) {
-        DeltaSet batch;
-        for (size_t i = 0; i < depth; ++i) {
-          (void)batch.AddInsert(se.Snapshot()->engine.db(), "fact",
-                                {Value::Int(next_id++), Value::Int(0),
-                                 Value::Double(1.0)});
-        }
-        if (auto st = se.IngestDeltas(std::move(batch)); !st.ok()) {
-          std::fprintf(stderr, "[micro_ops] %s\n", st.ToString().c_str());
-          return 2;
-        }
-      }
-      constexpr int kCommits = 200;
-      Stopwatch sw;
-      for (int i = 0; i < kCommits; ++i) {
-        if (auto st = se.InsertRecord(
-                "fact", {Value::Int(next_id++), Value::Int(0),
-                         Value::Double(1.0)});
-            !st.ok()) {
-          std::fprintf(stderr, "[micro_ops] %s\n", st.ToString().c_str());
-          return 2;
-        }
-      }
-      const double us = sw.ElapsedMillis() * 1e3 / kCommits;
-      cache_bench.commit_us.push_back({depth, us});
-      std::printf("queued=%-6zu commit %8.2f us\n", depth, us);
-    }
   }
 
   // -- Sharded scatter-gather query: unsharded vs 4-way fan-out ---------------
@@ -757,6 +852,33 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<IngestCurve> ingest_curves;
+  {
+    std::printf("-- SQL ingest: one-row INSERT cost vs queue depth --\n");
+    char tmpl[] = "/tmp/svc_ingest_bench_XXXXXX";
+    if (mkdtemp(tmpl) == nullptr) {
+      std::fprintf(stderr, "[micro_ops] mkdtemp failed\n");
+      return 2;
+    }
+    for (const char* mode : {"private", "shared", "durable", "sharded"}) {
+      ingest_curves.push_back(
+          MeasureIngestCurve(mode, std::string(tmpl) + "/" + mode));
+      const IngestCurve& c = ingest_curves.back();
+      std::printf("%-8s 1k %8.1f us   4k %8.1f us   16k %8.1f us   "
+                  "16k/1k %5.2fx   %zu-row INSERT %6.2f us/row\n",
+                  mode, c.stmt_us[0], c.stmt_us[1], c.stmt_us[2], c.ratio(),
+                  kIngestBatch, c.batch_us_per_row);
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(tmpl, ec);
+  }
+  double worst_ingest_ratio = 0.0;
+  for (const auto& c : ingest_curves) {
+    worst_ingest_ratio = std::max(worst_ingest_ratio, c.ratio());
+  }
+  const bool ingest_pass =
+      max_ingest_ratio <= 0.0 || worst_ingest_ratio <= max_ingest_ratio;
+
   // JSON report.
   const BenchResult* gate = nullptr;
   for (const auto& r : results) {
@@ -811,14 +933,6 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "    \"cold_ms\": %.3f, \"warm_ms\": %.3f,\n",
                cache_bench.cold_ms, cache_bench.warm_ms);
-  std::fprintf(f, "    \"ingest_commit\": [\n");
-  for (size_t i = 0; i < cache_bench.commit_us.size(); ++i) {
-    std::fprintf(f, "      {\"queued_rows\": %zu, \"commit_us\": %.2f}%s\n",
-                 cache_bench.commit_us[i].first,
-                 cache_bench.commit_us[i].second,
-                 i + 1 < cache_bench.commit_us.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
   std::fprintf(f,
                "    \"gate\": {\"name\": \"svc_query_warm_vs_cold\", "
                "\"min_speedup\": %.2f, \"speedup\": %.2f, \"pass\": %s}\n"
@@ -838,6 +952,25 @@ int main(int argc, char** argv) {
                "    \"sample_rows\": %zu, \"answer_bit_identical\": true\n"
                "  },\n",
                sharded_bench.sample_rows);
+  std::fprintf(f, "  \"sql_ingest\": {\n    \"depths\": [%zu, %zu, %zu],\n",
+               kIngestDepths[0], kIngestDepths[1], kIngestDepths[2]);
+  std::fprintf(f, "    \"modes\": [\n");
+  for (size_t i = 0; i < ingest_curves.size(); ++i) {
+    const IngestCurve& c = ingest_curves[i];
+    std::fprintf(f,
+                 "      {\"mode\": \"%s\", \"stmt_us\": [%.1f, %.1f, %.1f], "
+                 "\"ratio\": %.2f, \"batch_us_per_row\": %.2f}%s\n",
+                 c.mode.c_str(), c.stmt_us[0], c.stmt_us[1], c.stmt_us[2],
+                 c.ratio(), c.batch_us_per_row,
+                 i + 1 < ingest_curves.size() ? "," : "");
+  }
+  std::fprintf(f, "    ],\n");
+  std::fprintf(f,
+               "    \"gate\": {\"name\": \"sql_ingest_depth_ratio\", "
+               "\"max_ratio\": %.2f, \"ratio\": %.2f, \"pass\": %s}\n"
+               "  },\n",
+               max_ingest_ratio, worst_ingest_ratio,
+               ingest_pass ? "true" : "false");
   std::fprintf(f, "  \"wal_commit\": {\n    \"commits\": %d,\n", kWalCommits);
   std::fprintf(f, "    \"policies\": [\n");
   for (size_t i = 0; i < wal_commit_us.size(); ++i) {
@@ -879,6 +1012,13 @@ int main(int argc, char** argv) {
                  "[micro_ops] REGRESSION: warm repeated SVC query is only "
                  "%.1fx faster than cold (floor %.1fx)\n",
                  cache_bench.speedup(), min_cache_speedup);
+    fail = true;
+  }
+  if (!ingest_pass) {
+    std::fprintf(stderr,
+                 "[micro_ops] REGRESSION: one-row INSERT at depth 16k costs "
+                 "%.2fx its cost at 1k (ceiling %.2fx)\n",
+                 worst_ingest_ratio, max_ingest_ratio);
     fail = true;
   }
   return fail ? 1 : 0;

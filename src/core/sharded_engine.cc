@@ -225,31 +225,7 @@ Status ShardedEngine::CreateView(const std::string& name, PlanPtr definition,
 
 Status ShardedEngine::InsertRows(const std::string& relation,
                                  std::vector<Row> rows) {
-  std::lock_guard<std::recursive_mutex> stmt(stmt_mu_);
-  ShardedSnapshotPtr snap = Snapshot();
-  const size_t n = shards_.size();
-  auto rit = snap->meta->routing.find(relation);
-  const bool partitioned =
-      rit != snap->meta->routing.end() && rit->second.partitioned();
-  std::vector<std::vector<Row>> groups(n);
-  if (partitioned) {
-    for (Row& r : rows) {
-      const size_t owner = OwnerShard(EncodeRowKey(r, rit->second.columns));
-      groups[owner].push_back(std::move(r));
-    }
-  }
-  for (size_t s = 0; s < n; ++s) {
-    const std::vector<Row>& batch = partitioned ? groups[s] : rows;
-    if (batch.empty()) continue;
-    SVC_RETURN_IF_ERROR(shards_[s]->Commit([&](SvcEngine* e) -> Status {
-      for (const Row& r : batch) {
-        SVC_RETURN_IF_ERROR(e->InsertRecord(relation, r));
-      }
-      return Status::OK();
-    }));
-  }
-  PublishLocked(snap->meta);
-  return Status::OK();
+  return RouteRows(relation, std::move(rows), &SvcEngine::InsertRecords);
 }
 
 Status ShardedEngine::InsertRecord(const std::string& relation, Row row) {
@@ -260,6 +236,11 @@ Status ShardedEngine::InsertRecord(const std::string& relation, Row row) {
 
 Status ShardedEngine::DeleteRows(const std::string& relation,
                                  std::vector<Row> rows) {
+  return RouteRows(relation, std::move(rows), &SvcEngine::DeleteRecords);
+}
+
+Status ShardedEngine::RouteRows(const std::string& relation,
+                                std::vector<Row> rows, QueueFn queue) {
   std::lock_guard<std::recursive_mutex> stmt(stmt_mu_);
   ShardedSnapshotPtr snap = Snapshot();
   const size_t n = shards_.size();
@@ -274,13 +255,17 @@ Status ShardedEngine::DeleteRows(const std::string& relation,
     }
   }
   for (size_t s = 0; s < n; ++s) {
-    const std::vector<Row>& batch = partitioned ? groups[s] : rows;
+    // A replicated relation's batch goes to every shard: copied for all
+    // but the last.
+    std::vector<Row> batch;
+    if (partitioned) {
+      batch = std::move(groups[s]);
+    } else {
+      batch = s + 1 == n ? std::move(rows) : rows;
+    }
     if (batch.empty()) continue;
-    SVC_RETURN_IF_ERROR(shards_[s]->Commit([&](SvcEngine* e) -> Status {
-      for (const Row& r : batch) {
-        SVC_RETURN_IF_ERROR(e->DeleteRecord(relation, r));
-      }
-      return Status::OK();
+    SVC_RETURN_IF_ERROR(shards_[s]->Commit([&](SvcEngine* e) {
+      return (e->*queue)(relation, std::move(batch));
     }));
   }
   PublishLocked(snap->meta);

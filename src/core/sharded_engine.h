@@ -245,6 +245,13 @@ class ShardedEngine {
   /// `meta`. Caller holds stmt_mu_.
   void PublishLocked(std::shared_ptr<const ShardMeta> meta);
 
+  /// InsertRows / DeleteRows body: routes `rows` to their owning shards
+  /// (every shard for a replicated relation) and queues each shard's batch
+  /// with one `queue` call in one commit per involved shard.
+  using QueueFn = Status (SvcEngine::*)(const std::string&, std::vector<Row>);
+  Status RouteRows(const std::string& relation, std::vector<Row> rows,
+                   QueueFn queue);
+
   /// The shard owning the encoded routing-key bytes.
   size_t OwnerShard(const std::string& key_bytes) const;
 

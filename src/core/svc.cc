@@ -64,24 +64,52 @@ std::vector<std::string> SvcEngine::ViewNames() const {
 }
 
 Status SvcEngine::InsertRecord(const std::string& relation, Row row) {
-  SVC_RETURN_IF_ERROR(pending_.AddInsert(db_, relation, std::move(row)));
-  return pending_.Register(&db_);
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return InsertRecords(relation, std::move(rows));
 }
 
 Status SvcEngine::DeleteRecord(const std::string& relation, Row row) {
-  SVC_RETURN_IF_ERROR(pending_.AddDelete(db_, relation, std::move(row)));
-  return pending_.Register(&db_);
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return DeleteRecords(relation, std::move(rows));
+}
+
+Status SvcEngine::InsertRecords(const std::string& relation,
+                                std::vector<Row> rows) {
+  return QueueRows(relation, std::move(rows), &DeltaSet::AddInsert);
+}
+
+Status SvcEngine::DeleteRecords(const std::string& relation,
+                                std::vector<Row> rows) {
+  return QueueRows(relation, std::move(rows), &DeltaSet::AddDelete);
+}
+
+Status SvcEngine::QueueRows(const std::string& relation, std::vector<Row> rows,
+                            AddFn add) {
+  Status st = Status::OK();
+  for (Row& row : rows) {
+    st = (pending_.*add)(db_, relation, std::move(row));
+    if (!st.ok()) break;
+  }
+  SVC_RETURN_IF_ERROR(SyncPending());
+  return st;
 }
 
 Status SvcEngine::UpdateRecord(const std::string& relation, Row old_row,
                                Row new_row) {
   SVC_RETURN_IF_ERROR(pending_.AddUpdate(db_, relation, std::move(old_row),
                                          std::move(new_row)));
-  return pending_.Register(&db_);
+  return SyncPending();
 }
 
 Status SvcEngine::IngestDeltas(DeltaSet&& deltas) {
   SVC_RETURN_IF_ERROR(pending_.Merge(std::move(deltas)));
+  return SyncPending();
+}
+
+Status SvcEngine::SyncPending() {
+  pending_.Seal();
   return pending_.Register(&db_);
 }
 
@@ -95,7 +123,7 @@ Status SvcEngine::RepartitionRelation(
   }
   db_.PutTable(relation, std::move(owned));
   pending_.RetainRows(relation, keep);
-  return pending_.Register(&db_);
+  return SyncPending();
 }
 
 Status SvcEngine::MaintainAll() {

@@ -110,6 +110,14 @@ class SvcEngine {
   std::vector<std::string> ViewNames() const;
 
   // ---- Delta ingestion -----------------------------------------------------
+  // Every call is one statement: it appends its rows to the pending queue,
+  // seals them into a chunk and syncs the catalog once, so a B-row batch
+  // costs O(B + #chunks) whatever the queue depth. A failing row (unknown
+  // relation, arity mismatch) stops the batch; the rows before it stay
+  // queued.
+  Status InsertRecords(const std::string& relation, std::vector<Row> rows);
+  Status DeleteRecords(const std::string& relation, std::vector<Row> rows);
+  /// One-row forms of InsertRecords / DeleteRecords.
   Status InsertRecord(const std::string& relation, Row row);
   Status DeleteRecord(const std::string& relation, Row row);
   Status UpdateRecord(const std::string& relation, Row old_row, Row new_row);
@@ -223,6 +231,16 @@ class SvcEngine {
   Result<std::shared_ptr<const CorrespondingSamples>> PrepareSvcQuery(
       const std::string& name, const AggregateQuery& q,
       const SvcQueryOptions& opts, EstimatorMode* mode_used) const;
+
+  /// InsertRecords / DeleteRecords body: queues each row with `add`
+  /// (DeltaSet::AddInsert or AddDelete), then SyncPending once.
+  using AddFn = Status (DeltaSet::*)(const Database&, const std::string&, Row);
+  Status QueueRows(const std::string& relation, std::vector<Row> rows,
+                   AddFn add);
+
+  /// Ends an ingestion statement: seals the queue's tails and registers
+  /// the chunks in db_ (pointer copies only).
+  Status SyncPending();
 
   Database db_;
   std::map<std::string, MaterializedView> views_;

@@ -69,6 +69,99 @@ std::string FormatEstimateMessage(const AggregateQuery& q,
   return out;
 }
 
+/// The pending queues that may hold `relation`'s deltas: every shard's for
+/// a partitioned relation, shard 0's for a replicated one (every shard
+/// holds the same copy).
+std::vector<const DeltaSet*> PendingQueues(const ShardedSnapshot& snap,
+                                           const std::string& relation) {
+  std::vector<const DeltaSet*> out;
+  for (const auto& shard : snap.shards) {
+    out.push_back(&shard->engine.pending());
+    if (!snap.meta->IsPartitionedRelation(relation)) break;
+  }
+  return out;
+}
+
+/// True iff a row with encoded primary key `key` is queued for insertion
+/// (or, with `deletes`, deletion) in any of `pending` — a probe of each
+/// DeltaSet's pending-key index.
+bool AnyPending(const std::vector<const DeltaSet*>& pending, bool deletes,
+                const std::string& relation, const std::string& key) {
+  for (const DeltaSet* d : pending) {
+    if (deletes ? d->HasPendingDelete(relation, key)
+                : d->HasPendingInsert(relation, key)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// INSERT's primary-key screening (all modes): a conflicting delta would
+/// poison the pending queue (every later REFRESH fails on the duplicate),
+/// so reject NULL keys, duplicates within the statement, keys already
+/// queued for insertion, and keys of committed rows (of `table`) not
+/// queued for deletion.
+Status CheckInsertKeys(const Statement& stmt, const Table& table,
+                       const std::vector<Row>& rows,
+                       const std::vector<const DeltaSet*>& pending) {
+  if (!table.HasPrimaryKey()) return Status::OK();
+  const Schema& schema = table.schema();
+  const std::vector<size_t>& pk = table.pk_indices();
+  auto describe_key = [&](const Row& row) {
+    std::string out;
+    for (size_t i : pk) {
+      if (!out.empty()) out += ", ";
+      out += schema.column(i).name + "=" + row[i].ToString();
+    }
+    return out;
+  };
+  std::set<std::string> batch;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t i : pk) {
+      if (rows[r][i].is_null()) {
+        return Status::ConstraintViolation(
+            "INSERT INTO " + stmt.target + " row " + std::to_string(r + 1) +
+            " has NULL in primary-key column '" + schema.column(i).name + "'");
+      }
+    }
+    std::string key = EncodeRowKey(rows[r], pk);
+    std::string where;
+    if (!batch.insert(key).second) {
+      where = "this statement";
+    } else if (AnyPending(pending, false, stmt.target, key)) {
+      where = "the pending deltas";
+    } else if (table.FindByEncodedKey(key).ok() &&
+               !AnyPending(pending, true, stmt.target, key)) {
+      where =
+          "a committed row (DELETE it first; an update is "
+          "delete + insert)";
+    }
+    if (!where.empty()) {
+      return Status::ConstraintViolation(
+          "INSERT INTO " + stmt.target + " row " + std::to_string(r + 1) +
+          " duplicates the primary key (" + describe_key(rows[r]) + ") of " +
+          where);
+    }
+  }
+  return Status::OK();
+}
+
+/// DELETE is idempotent: drops from `doomed` the rows already queued for
+/// deletion in any of `pending` — queueing one twice would double-count in
+/// the change table and silently corrupt maintained aggregate views at
+/// REFRESH.
+void SkipPendingDeletes(const Table& table, const std::string& relation,
+                        const std::vector<const DeltaSet*>& pending,
+                        std::vector<Row>* doomed) {
+  if (!table.HasPrimaryKey()) return;
+  const std::vector<size_t>& pk = table.pk_indices();
+  auto queued = [&](const Row& row) {
+    return AnyPending(pending, true, relation, EncodeRowKey(row, pk));
+  };
+  doomed->erase(std::remove_if(doomed->begin(), doomed->end(), queued),
+                doomed->end());
+}
+
 /// Validates CREATE TABLE's column list and PRIMARY KEY clause and builds
 /// the (empty) table; shared by the unsharded and sharded paths.
 Result<Table> BuildTableForCreate(const Statement& stmt) {
@@ -462,32 +555,18 @@ Result<SqlResult> SqlSession::ExecInsert(const Statement& stmt,
   // either queues completely or not at all).
   std::vector<Row> rows = stmt.values;
   SVC_RETURN_IF_ERROR(CoerceInsertRows(stmt, table->schema(), &rows));
-  std::vector<std::string> batch_keys;
-  PendingKeys scratch;
-  PendingKeys* cache = nullptr;
-  if (table->HasPrimaryKey()) {
-    cache = PendingKeysFor(stmt.target, &scratch);
-    SyncPendingKeys(*eng, stmt.target, table->pk_indices(), cache);
-    SVC_RETURN_IF_ERROR(
-        CheckInsertKeys(stmt, *table, rows, *cache, &batch_keys));
-  }
+  SVC_RETURN_IF_ERROR(
+      CheckInsertKeys(stmt, *table, rows, {&eng->pending()}));
   if (wal != nullptr) {
     // The *coerced* rows are what replay must re-queue.
     SVC_RETURN_IF_ERROR(
         EncodeDurableOp(DurableOp::InsertOp(stmt.target, rows), wal));
   }
-  for (auto& row : rows) {
-    SVC_RETURN_IF_ERROR(eng->InsertRecord(stmt.target, std::move(row)));
-  }
-  if (cache != nullptr) {
-    // Extend the cache in step with what was just queued.
-    for (auto& key : batch_keys) cache->inserts.insert(std::move(key));
-    cache->insert_rows += rows.size();
-  }
+  const size_t n = rows.size();
+  SVC_RETURN_IF_ERROR(eng->InsertRecords(stmt.target, std::move(rows)));
   SqlResult result;
-  result.message = "queued " + std::to_string(rows.size()) +
-                   " insert(s) into " + stmt.target +
-                   "; REFRESH commits them";
+  result.message = "queued " + std::to_string(n) + " insert(s) into " +
+                   stmt.target + "; REFRESH commits them";
   return result;
 }
 
@@ -506,26 +585,7 @@ Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
   for (const auto& row : table->rows()) {
     if (!pred || pred->Eval(row).IsTrue()) doomed.push_back(row);
   }
-  // DELETE is idempotent: a row already queued for deletion is skipped —
-  // queueing it twice would double-count in the change table and silently
-  // corrupt maintained aggregate views at REFRESH.
-  PendingKeys scratch;
-  PendingKeys* cache = nullptr;
-  std::vector<std::string> new_keys;
-  if (table->HasPrimaryKey()) {
-    const std::vector<size_t>& pk = table->pk_indices();
-    cache = PendingKeysFor(stmt.target, &scratch);
-    SyncPendingKeys(*eng, stmt.target, pk, cache);
-    std::vector<Row> fresh;
-    fresh.reserve(doomed.size());
-    for (auto& row : doomed) {
-      std::string key = EncodeRowKey(row, pk);
-      if (cache->deletes.count(key)) continue;  // already pending
-      new_keys.push_back(std::move(key));
-      fresh.push_back(std::move(row));
-    }
-    doomed = std::move(fresh);
-  }
+  SkipPendingDeletes(*table, stmt.target, {&eng->pending()}, &doomed);
   if (wal != nullptr) {
     // The rows the WHERE selected (post-dedup) are what replay re-queues —
     // replaying the predicate against a different committed state would
@@ -533,16 +593,11 @@ Result<SqlResult> SqlSession::ExecDelete(const Statement& stmt,
     SVC_RETURN_IF_ERROR(
         EncodeDurableOp(DurableOp::DeleteOp(stmt.target, doomed), wal));
   }
-  for (auto& row : doomed) {
-    SVC_RETURN_IF_ERROR(eng->DeleteRecord(stmt.target, std::move(row)));
-  }
-  if (cache != nullptr) {
-    for (auto& key : new_keys) cache->deletes.insert(std::move(key));
-    cache->delete_rows += doomed.size();
-  }
+  const size_t n = doomed.size();
+  SVC_RETURN_IF_ERROR(eng->DeleteRecords(stmt.target, std::move(doomed)));
   SqlResult result;
-  result.message = "queued " + std::to_string(doomed.size()) +
-                   " delete(s) from " + stmt.target + "; REFRESH commits them";
+  result.message = "queued " + std::to_string(n) + " delete(s) from " +
+                   stmt.target + "; REFRESH commits them";
   return result;
 }
 
@@ -556,8 +611,7 @@ Result<SqlResult> SqlSession::ExecRefresh(const Statement& stmt,
     SVC_RETURN_IF_ERROR(eng->GetView(stmt.target).status());
   }
   // MaintainAll is transactional: on error nothing changed — queued deltas
-  // (and the session's pending-key cache over them) stay intact, so the
-  // error propagates here without touching session state. In shared mode
+  // stay intact, so the error propagates here. In shared mode
   // `eng` is already a disposable fork that ExecWrite's Commit discards on
   // error, so the in-place body skips a redundant second fork.
   SVC_RETURN_IF_ERROR(handle_.is_shared() ? eng->MaintainAllInPlace()
@@ -565,7 +619,6 @@ Result<SqlResult> SqlSession::ExecRefresh(const Statement& stmt,
   if (wal != nullptr) {
     SVC_RETURN_IF_ERROR(EncodeDurableOp(DurableOp::RefreshOp(), wal));
   }
-  pending_keys_.clear();  // the commit emptied the pending queue
   const size_t n_views = eng->ViewNames().size();
   SqlResult result;
   result.message = "refreshed " + std::to_string(n_views) +
@@ -738,39 +791,6 @@ Result<SqlResult> SqlSession::ExecShowMaintenance(const SvcEngine& eng) {
   return RenderMaintenance(cfg, scores);
 }
 
-SqlSession::PendingKeys* SqlSession::PendingKeysFor(
-    const std::string& relation, PendingKeys* scratch) {
-  // Shared mode: other sessions mutate the pending queue between this
-  // session's statements, and the row-count drift check cannot distinguish
-  // "same counts, different keys" (e.g. a REFRESH followed by the same
-  // number of new inserts). Rebuild from the fork every statement — the
-  // statement runs under the writer lock, so the fork is authoritative.
-  if (handle_.is_shared()) return scratch;
-  return &pending_keys_[relation];
-}
-
-void SqlSession::SyncPendingKeys(const SvcEngine& eng,
-                                 const std::string& relation,
-                                 const std::vector<size_t>& pk_indices,
-                                 PendingKeys* cache) {
-  auto sync = [&](size_t n, auto for_each, size_t* rows,
-                  std::set<std::string>* keys) {
-    if (*rows == n) return;
-    keys->clear();
-    for_each([&](const Row& r) {
-      keys->insert(EncodeRowKey(r, pk_indices));
-    });
-    *rows = n;
-  };
-  const DeltaSet& pending = eng.pending();
-  sync(pending.InsertRows(relation),
-       [&](auto fn) { pending.ForEachInsert(relation, fn); },
-       &cache->insert_rows, &cache->inserts);
-  sync(pending.DeleteRows(relation),
-       [&](auto fn) { pending.ForEachDelete(relation, fn); },
-       &cache->delete_rows, &cache->deletes);
-}
-
 Status SqlSession::CoerceInsertRows(const Statement& stmt,
                                     const Schema& schema,
                                     std::vector<Row>* rows) {
@@ -803,57 +823,6 @@ Status SqlSession::CoerceInsertRows(const Statement& stmt,
             ValueTypeName(v.type()) + ")");
       }
     }
-  }
-  return Status::OK();
-}
-
-Status SqlSession::CheckInsertKeys(const Statement& stmt, const Table& table,
-                                   const std::vector<Row>& rows,
-                                   const PendingKeys& pending,
-                                   std::vector<std::string>* batch_keys) {
-  // Primary-key validation: a conflicting delta would poison the pending
-  // queue (every later REFRESH fails on the duplicate), so reject NULL
-  // keys, duplicates within the statement, keys already queued for
-  // insertion, and keys of committed rows not queued for deletion.
-  const Schema& schema = table.schema();
-  const std::vector<size_t>& pk = table.pk_indices();
-  auto describe_key = [&](const Row& row) {
-    std::string out;
-    for (size_t i : pk) {
-      if (!out.empty()) out += ", ";
-      out += schema.column(i).name + "=" + row[i].ToString();
-    }
-    return out;
-  };
-  std::set<std::string> batch;
-  batch_keys->reserve(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t i : pk) {
-      if (rows[r][i].is_null()) {
-        return Status::ConstraintViolation(
-            "INSERT INTO " + stmt.target + " row " + std::to_string(r + 1) +
-            " has NULL in primary-key column '" + schema.column(i).name + "'");
-      }
-    }
-    std::string key = EncodeRowKey(rows[r], pk);
-    std::string where;
-    if (!batch.insert(key).second) {
-      where = "this statement";
-    } else if (pending.inserts.count(key)) {
-      where = "the pending deltas";
-    } else if (table.FindByEncodedKey(key).ok() &&
-               !pending.deletes.count(key)) {
-      where =
-          "a committed row (DELETE it first; an update is "
-          "delete + insert)";
-    }
-    if (!where.empty()) {
-      return Status::ConstraintViolation(
-          "INSERT INTO " + stmt.target + " row " + std::to_string(r + 1) +
-          " duplicates the primary key (" + describe_key(rows[r]) + ") of " +
-          where);
-    }
-    batch_keys->push_back(std::move(key));
   }
   return Status::OK();
 }
@@ -1018,14 +987,8 @@ Result<SqlResult> SqlSession::ExecInsertSharded(const Statement& stmt) {
                          eng.GatherTable(*snap, stmt.target));
     std::vector<Row> rows = stmt.values;
     SVC_RETURN_IF_ERROR(CoerceInsertRows(stmt, table->schema(), &rows));
-    if (table->HasPrimaryKey()) {
-      PendingKeys pending;
-      SyncPendingKeysSharded(*snap, stmt.target, table->pk_indices(),
-                             &pending);
-      std::vector<std::string> batch_keys;
-      SVC_RETURN_IF_ERROR(
-          CheckInsertKeys(stmt, *table, rows, pending, &batch_keys));
-    }
+    SVC_RETURN_IF_ERROR(CheckInsertKeys(stmt, *table, rows,
+                                        PendingQueues(*snap, stmt.target)));
     SVC_RETURN_IF_ERROR(eng.InsertRows(stmt.target, std::move(rows)));
     SqlResult result;
     result.message = "queued " + std::to_string(stmt.values.size()) +
@@ -1059,21 +1022,8 @@ Result<SqlResult> SqlSession::ExecDeleteSharded(const Statement& stmt) {
     for (const auto& row : table->rows()) {
       if (!pred || pred->Eval(row).IsTrue()) doomed.push_back(row);
     }
-    if (table->HasPrimaryKey()) {
-      // DELETE is idempotent: skip rows already queued for deletion.
-      PendingKeys pending;
-      SyncPendingKeysSharded(*snap, stmt.target, table->pk_indices(),
-                             &pending);
-      std::vector<Row> fresh;
-      fresh.reserve(doomed.size());
-      for (auto& row : doomed) {
-        if (pending.deletes.count(EncodeRowKey(row, table->pk_indices()))) {
-          continue;
-        }
-        fresh.push_back(std::move(row));
-      }
-      doomed = std::move(fresh);
-    }
+    SkipPendingDeletes(*table, stmt.target, PendingQueues(*snap, stmt.target),
+                       &doomed);
     const size_t n_doomed = doomed.size();
     SVC_RETURN_IF_ERROR(eng.DeleteRows(stmt.target, std::move(doomed)));
     SqlResult result;
@@ -1251,23 +1201,6 @@ Result<SqlResult> SqlSession::ExecShowMaintenanceSharded(
   SVC_ASSIGN_OR_RETURN(std::vector<ViewMaintenanceScore> scores,
                        eng.ScoreViews(snap, cfg, /*elapsed_ms=*/0));
   return RenderMaintenance(cfg, scores);
-}
-
-void SqlSession::SyncPendingKeysSharded(const ShardedSnapshot& snap,
-                                        const std::string& relation,
-                                        const std::vector<size_t>& pk_indices,
-                                        PendingKeys* cache) {
-  for (const auto& shard : snap.shards) {
-    const DeltaSet& pending = shard->engine.pending();
-    pending.ForEachInsert(relation, [&](const Row& r) {
-      cache->inserts.insert(EncodeRowKey(r, pk_indices));
-    });
-    pending.ForEachDelete(relation, [&](const Row& r) {
-      cache->deletes.insert(EncodeRowKey(r, pk_indices));
-    });
-  }
-  cache->insert_rows = cache->inserts.size();
-  cache->delete_rows = cache->deletes.size();
 }
 
 }  // namespace svc

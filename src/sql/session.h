@@ -3,9 +3,7 @@
 
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -338,60 +336,14 @@ class SqlSession : public SqlExecutor {
                                         const std::string& name,
                                         const char* verb) const;
 
-  /// Cached encoded-primary-key sets of one relation's pending deltas, so
-  /// ExecInsert's conflict checks stay O(batch) per statement instead of
-  /// re-encoding the whole pending queue (O(pending)) every INSERT. The
-  /// row counts validate the cache: REFRESH empties the queue and any
-  /// direct engine mutation between statements changes the counts, both
-  /// of which trigger a rebuild. Only trustworthy in private mode — in
-  /// shared mode other sessions mutate the queue between statements, so
-  /// each write statement rebuilds from the fork it runs on (see
-  /// PendingKeysFor).
-  struct PendingKeys {
-    size_t insert_rows = 0;
-    size_t delete_rows = 0;
-    std::set<std::string> inserts;
-    std::set<std::string> deletes;
-  };
-
-  /// The cache to use for a write statement on `relation`: the session's
-  /// persistent cache in private mode, `scratch` (rebuilt from the current
-  /// fork) in shared mode.
-  PendingKeys* PendingKeysFor(const std::string& relation,
-                              PendingKeys* scratch);
-
-  /// Rebuilds `cache` from the pending tables when the row counts drifted.
-  static void SyncPendingKeys(const SvcEngine& eng, const std::string& relation,
-                              const std::vector<size_t>& pk_indices,
-                              PendingKeys* cache);
-
-  /// Aggregated pending-delta keys for one relation across every shard of
-  /// `snap` (set semantics collapse a replicated relation's per-shard
-  /// copies back to the logical rows). Always rebuilds: sharded sessions
-  /// share the engine, so the drift check cannot be trusted.
-  static void SyncPendingKeysSharded(const ShardedSnapshot& snap,
-                                     const std::string& relation,
-                                     const std::vector<size_t>& pk_indices,
-                                     PendingKeys* cache);
-
   /// INSERT row validation shared with the sharded path: checks arity and
   /// value types against `schema`, widening INT literals into DOUBLE
   /// columns in place.
   static Status CoerceInsertRows(const Statement& stmt, const Schema& schema,
                                  std::vector<Row>* rows);
 
-  /// ExecInsert's primary-key screening, shared with the sharded path:
-  /// rejects NULL key columns, duplicates within the statement, keys
-  /// already queued for insertion, and committed keys (of `table`) not
-  /// queued for deletion. Appends each row's encoded key to `batch_keys`.
-  static Status CheckInsertKeys(const Statement& stmt, const Table& table,
-                                const std::vector<Row>& rows,
-                                const PendingKeys& pending,
-                                std::vector<std::string>* batch_keys);
-
   EngineHandle handle_;
   SvcQueryOptions svc_defaults_;
-  std::map<std::string, PendingKeys> pending_keys_;
   const CancelToken* cancel_ = nullptr;
   double degrade_scale_ = 1.0;
   DurableEngine::IdemMark idem_;

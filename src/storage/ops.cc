@@ -259,15 +259,9 @@ Status ApplyDurableOp(const DurableOp& op, SvcEngine* engine) {
       return engine->CreateView(op.target, op.view_def->Clone(),
                                 op.sampling_key);
     case DurableOp::Kind::kInsert:
-      for (const Row& row : op.rows) {
-        SVC_RETURN_IF_ERROR(engine->InsertRecord(op.target, row));
-      }
-      return Status::OK();
+      return engine->InsertRecords(op.target, op.rows);
     case DurableOp::Kind::kDelete:
-      for (const Row& row : op.rows) {
-        SVC_RETURN_IF_ERROR(engine->DeleteRecord(op.target, row));
-      }
-      return Status::OK();
+      return engine->DeleteRecords(op.target, op.rows);
     case DurableOp::Kind::kIngest: {
       DeltaSet batch;
       for (const auto& [rel, rows] : op.ingest_inserts) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <set>
 
 namespace svc {
@@ -20,67 +21,75 @@ std::string DeltaChunkName(const std::string& base, size_t chunk) {
 
 size_t DeltaSet::Side::rows() const {
   size_t n = tail.NumRows();
-  for (const auto& c : chunks) n += c->NumRows();
+  for (const auto& c : chunks) n += c.rows->NumRows();
   return n;
 }
 
-void DeltaSet::SealInto(const Side& from, Side* to) {
-  to->chunks = from.chunks;
-  if (!from.tail.empty()) {
-    // Non-const construction: the catalog's GetMutableTable may clone-free
-    // const_cast this object if it ever becomes the sole owner.
-    to->chunks.push_back(std::make_shared<Table>(from.tail));
+bool DeltaSet::Side::HasKey(const std::string& key) const {
+  if (pk.empty()) return false;
+  for (const auto& c : chunks) {
+    if (std::binary_search(c.keys->begin(), c.keys->end(), key)) return true;
   }
-  to->tail = Table(from.tail.schema());
-  CompactChunks(&to->chunks);
+  // The tail is empty between engine statements (SvcEngine seals at every
+  // statement boundary), so scanning it is only ever a short loop.
+  for (const Row& r : tail.rows()) {
+    if (EncodeRowKey(r, pk) == key) return true;
+  }
+  return false;
 }
 
-void DeltaSet::CompactChunks(
-    std::vector<std::shared_ptr<const Table>>* chunks) {
-  size_t rows = 0;
-  for (const auto& c : *chunks) rows += c->NumRows();
-  if (rows == 0) return;
-  size_t log2_rows = 0;
-  for (size_t n = rows; n > 1; n >>= 1) ++log2_rows;
-  const size_t cap = std::max<size_t>(4, 2 * (log2_rows + 1));
-  if (chunks->size() <= cap) return;
-  // Compact to half the cap (hysteresis: per-commit forks then grow the
-  // list back instead of re-merging every time). Merging the adjacent
-  // pair with the fewest combined rows keeps big, settled chunks from
-  // being recopied while small per-commit chunks coalesce.
-  const size_t target = std::max<size_t>(2, cap / 2);
-  while (chunks->size() > target) {
-    size_t best = 0;
-    size_t best_rows = static_cast<size_t>(-1);
-    for (size_t i = 0; i + 1 < chunks->size(); ++i) {
-      const size_t n = (*chunks)[i]->NumRows() + (*chunks)[i + 1]->NumRows();
-      if (n < best_rows) {
-        best_rows = n;
-        best = i;
-      }
-    }
-    auto merged = std::make_shared<Table>((*chunks)[best]->schema());
-    for (const Row& r : (*chunks)[best]->rows()) merged->AppendUnchecked(r);
-    for (const Row& r : (*chunks)[best + 1]->rows()) {
-      merged->AppendUnchecked(r);
-    }
-    (*chunks)[best] = std::move(merged);
-    chunks->erase(chunks->begin() + static_cast<ptrdiff_t>(best) + 1);
+void DeltaSet::Side::Seal() {
+  if (tail.empty()) return;
+  Table sealed(tail.schema());
+  std::swap(sealed, tail);
+  auto keys = std::make_shared<std::vector<std::string>>();
+  if (!pk.empty()) {
+    keys->reserve(sealed.NumRows());
+    for (const Row& r : sealed.rows()) keys->push_back(EncodeRowKey(r, pk));
+    std::sort(keys->begin(), keys->end());
+    keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
+  }
+  // Non-const construction: the catalog's GetMutableTable may clone-free
+  // const_cast this object if it ever becomes the sole owner.
+  Chunk chunk{std::make_shared<Table>(std::move(sealed)), std::move(keys)};
+  chunks.push_back(std::move(chunk));
+  CompactChunks(&chunks);
+}
+
+void DeltaSet::CompactChunks(std::vector<Chunk>* chunks) {
+  // Chunks before the new last one already shrink by more than half, so
+  // only the tail end can violate the invariant; merges cascade backward.
+  while (chunks->size() >= 2) {
+    const Chunk& a = (*chunks)[chunks->size() - 2];
+    const Chunk& b = chunks->back();
+    if (a.rows->NumRows() > 2 * b.rows->NumRows()) break;
+    auto rows = std::make_shared<Table>(a.rows->schema());
+    for (const Row& r : a.rows->rows()) rows->AppendUnchecked(r);
+    for (const Row& r : b.rows->rows()) rows->AppendUnchecked(r);
+    auto keys = std::make_shared<std::vector<std::string>>();
+    keys->reserve(a.keys->size() + b.keys->size());
+    std::set_union(a.keys->begin(), a.keys->end(), b.keys->begin(),
+                   b.keys->end(), std::back_inserter(*keys));
+    chunks->pop_back();
+    chunks->back() = {std::move(rows), std::move(keys)};
   }
 }
 
-DeltaSet::DeltaSet(const DeltaSet& other) : version_(other.version_) {
-  for (const auto& [rel, side] : other.inserts_) {
-    SealInto(side, &inserts_[rel]);
-  }
-  for (const auto& [rel, side] : other.deletes_) {
-    SealInto(side, &deletes_[rel]);
-  }
+DeltaSet::DeltaSet(const DeltaSet& other)
+    : inserts_(other.inserts_),
+      deletes_(other.deletes_),
+      version_(other.version_) {
+  Seal();
 }
 
 DeltaSet& DeltaSet::operator=(const DeltaSet& other) {
   if (this != &other) *this = DeltaSet(other);
   return *this;
+}
+
+void DeltaSet::Seal() {
+  for (auto& [rel, side] : inserts_) side.Seal();
+  for (auto& [rel, side] : deletes_) side.Seal();
 }
 
 Result<DeltaSet::Side*> DeltaSet::SideFor(const Database& db,
@@ -90,6 +99,7 @@ Result<DeltaSet::Side*> DeltaSet::SideFor(const Database& db,
   if (it == sides->end()) {
     SVC_ASSIGN_OR_RETURN(const Table* base, db.GetTable(relation));
     Side s;
+    s.pk = base->pk_indices();
     s.tail = Table(base->schema());
     it = sides->emplace(relation, std::move(s)).first;
   }
@@ -149,6 +159,18 @@ Status DeltaSet::Merge(DeltaSet&& other) {
   return Status::OK();
 }
 
+bool DeltaSet::HasPendingInsert(const std::string& relation,
+                                const std::string& key) const {
+  auto it = inserts_.find(relation);
+  return it != inserts_.end() && it->second.HasKey(key);
+}
+
+bool DeltaSet::HasPendingDelete(const std::string& relation,
+                                const std::string& key) const {
+  auto it = deletes_.find(relation);
+  return it != deletes_.end() && it->second.HasKey(key);
+}
+
 bool DeltaSet::empty() const {
   for (const auto& [k, s] : inserts_) {
     if (!s.empty_rows()) return false;
@@ -206,6 +228,7 @@ void DeltaSet::RetainRows(const std::string& relation,
     auto it = sides->find(relation);
     if (it == sides->end()) return;
     Side rebuilt;
+    rebuilt.pk = it->second.pk;
     rebuilt.tail = Table(it->second.tail.schema());
     it->second.ForEachRow([&](const Row& r) {
       if (keep(r)) rebuilt.tail.AppendUnchecked(r);
@@ -264,7 +287,7 @@ Result<DeltaSet> DeltaSet::SliceSince(const DeltaWatermark& mark) const {
         }
         remaining = 0;
       };
-      for (const auto& chunk : side.chunks) copy_from(*chunk);
+      for (const auto& chunk : side.chunks) copy_from(*chunk.rows);
       copy_from(side.tail);
     }
     return Status::OK();
@@ -283,7 +306,9 @@ std::vector<std::string> DeltaSet::TableNamesFor(
   if (it == sides.end()) return names;
   const Side& s = it->second;
   for (size_t k = 0; k < s.chunks.size(); ++k) {
-    if (!s.chunks[k]->empty()) names.push_back(DeltaChunkName(base, k));
+    if (!s.chunks[k].rows->empty()) {
+      names.push_back(DeltaChunkName(base, k));
+    }
   }
   if (!s.tail.empty()) names.push_back(base);
   return names;
@@ -310,7 +335,7 @@ Status DeltaSet::Register(Database* db) const {
     for (const auto& [rel, s] : sides) {
       const std::string base = name_of(rel);
       for (size_t k = 0; k < s.chunks.size(); ++k) {
-        db->PutTableShared(DeltaChunkName(base, k), s.chunks[k]);
+        db->PutTableShared(DeltaChunkName(base, k), s.chunks[k].rows);
       }
       // Compaction can shrink the chunk count between forks; drop the
       // trailing names a wider previous registration left behind so the

@@ -41,10 +41,22 @@ struct DeltaWatermark {
 ///
 /// Storage is copy-on-write: each relation/side holds a list of sealed,
 /// immutable chunks behind shared_ptr plus one owned, mutable tail that
-/// appends land in. Copying a DeltaSet shares every sealed chunk and seals
-/// the source's tail into a new chunk of the copy, so a copy costs
-/// O(#chunks + rows since the last copy) instead of O(all queued rows) —
-/// this is what makes a SharedEngine ingest commit flat in queue depth.
+/// appends land in. Seal moves each tail into a new chunk without copying
+/// rows; SvcEngine seals at every statement boundary, so a catalog only
+/// ever registers shared chunks and an ingest statement costs O(batch +
+/// #chunks) whatever the queue depth. Copying a DeltaSet shares every
+/// sealed chunk and seals the source's tail (if any) into a new chunk of
+/// the copy, so a copy never observes a later append to its source.
+/// CompactChunks keeps the chunk count at most log2(rows) + 1.
+///
+/// Each side also indexes the encoded primary keys of its rows (when the
+/// base relation has a primary key): every sealed chunk carries the sorted,
+/// immutable key set of its rows — shared by forks with the chunk, unioned
+/// when chunks merge — built by Seal from the sealed rows. A conflict or
+/// dedup probe (HasPendingInsert / HasPendingDelete) costs O(log rows) per
+/// chunk plus a scan of the unsealed tail (empty between SvcEngine
+/// statements) instead of a rebuild over the whole queue.
+///
 /// The logical row sequence (chunks in order, then the tail) is identical
 /// however the queue is chunked; maintenance and cleaning plans scan the
 /// chunks as a union, producing bit-identical results at any chunking.
@@ -52,10 +64,10 @@ class DeltaSet {
  public:
   DeltaSet() = default;
 
-  /// Shares all sealed chunks with `other` and seals other's tail rows
-  /// (O(#chunks + tail rows)). The copy's registered catalog names differ
-  /// from the source's — re-Register into the copied catalog before
-  /// building plans against it (SvcEngine's fork constructor does).
+  /// Shares all sealed chunks with `other` and seals a copy of other's
+  /// tail rows (O(#chunks + tail rows)). The copy's registered catalog
+  /// names differ from the source's — re-Register into the copied catalog
+  /// before building plans against it (SvcEngine's fork constructor does).
   DeltaSet(const DeltaSet& other);
   DeltaSet& operator=(const DeltaSet& other);
   DeltaSet(DeltaSet&&) = default;
@@ -74,6 +86,20 @@ class DeltaSet {
   /// Moves all of `other`'s pending rows into this set (appended to the
   /// tails in other's logical order).
   Status Merge(DeltaSet&& other);
+
+  /// True iff a row whose primary key encodes to `key` (EncodeRowKey over
+  /// the base relation's primary-key columns) is queued for insertion into
+  /// / deletion from `relation`. Always false for a relation without a
+  /// primary key. O(log rows) per sealed chunk plus O(tail rows).
+  bool HasPendingInsert(const std::string& relation,
+                        const std::string& key) const;
+  bool HasPendingDelete(const std::string& relation,
+                        const std::string& key) const;
+
+  /// Moves every tail into a new sealed chunk (no row copies) and compacts
+  /// the chunk list. Leaves the logical row sequence and version() as they
+  /// are; call Register afterwards to sync a catalog.
+  void Seal();
 
   /// True iff no relation has pending changes — i.e. no view is stale.
   bool empty() const;
@@ -118,7 +144,9 @@ class DeltaSet {
   DeltaWatermark Watermark() const;
 
   /// The rows that arrived after `mark`, as a standalone tail-only
-  /// DeltaSet (rows copied; cost O(new rows + #chunks)). Fails with
+  /// DeltaSet (rows copied; cost O(new rows + #chunks)). The slice only
+  /// feeds cleaning, so it skips the pending-key index: its
+  /// HasPendingInsert / HasPendingDelete always report false. Fails with
   /// InvalidArgument when `mark` does not describe a prefix of this set
   /// (e.g. it was taken before a maintenance commit emptied the queue).
   Result<DeltaSet> SliceSince(const DeltaWatermark& mark) const;
@@ -144,7 +172,8 @@ class DeltaSet {
   std::vector<std::string> DeleteTableNames(const std::string& relation) const;
 
   /// Syncs every delta table into `db`'s catalog: sealed chunks are
-  /// registered by shared pointer (no row copies), the tails by value.
+  /// registered by shared pointer (no row copies), the tails by value (an
+  /// empty tail after Seal).
   /// Stale names from a previous shape of the queue (e.g. the pre-seal
   /// tail after a copy) are dropped.
   Status Register(Database* db) const;
@@ -155,36 +184,47 @@ class DeltaSet {
   Status ApplyToBase(Database* db);
 
  private:
-  /// One relation's pending rows on one side: sealed immutable chunks
-  /// (shared across DeltaSet copies — never mutated once sealed) plus the
-  /// owned tail that appends go to.
+  /// A sealed, immutable chunk: its rows (registered into catalogs by
+  /// shared pointer) and the sorted encoded primary keys of those rows
+  /// (empty when the relation has no primary key).
+  struct Chunk {
+    std::shared_ptr<const Table> rows;
+    std::shared_ptr<const std::vector<std::string>> keys;
+  };
+
+  /// One relation's pending rows on one side: sealed chunks (shared across
+  /// DeltaSet copies — never mutated once sealed) plus the owned tail that
+  /// appends go to.
   struct Side {
-    std::vector<std::shared_ptr<const Table>> chunks;
+    std::vector<size_t> pk;  ///< the base relation's primary-key columns
+    std::vector<Chunk> chunks;
     Table tail;
 
     size_t rows() const;
     bool empty_rows() const { return rows() == 0; }
+    /// Binary search per sealed chunk, then a scan of the tail's rows.
+    bool HasKey(const std::string& key) const;
+    void Seal();
     template <typename Fn>
     void ForEachRow(Fn fn) const {
       for (const auto& c : chunks) {
-        for (const Row& r : c->rows()) fn(r);
+        for (const Row& r : c.rows->rows()) fn(r);
       }
       for (const Row& r : tail.rows()) fn(r);
     }
   };
 
-  static void SealInto(const Side& from, Side* to);
-  /// Geometric compaction: when the sealed-chunk count exceeds
-  /// 2 × log2(rows), adjacent chunks are merged (smallest pair first,
-  /// preserving queue order) down to half that cap. Long maintenance
-  /// periods with per-commit forking (a SharedEngine ingesting thousands
-  /// of single-row commits between REFRESHes) would otherwise accumulate
-  /// one chunk per commit — O(commits) catalog names per view plan and
-  /// O(chunks) pointer copies per fork. Merging only above the log bound
-  /// keeps per-row copy work amortized O(log rows) while the logical row
+  /// Geometric compaction, run after each seal: while the newest chunk
+  /// holds at least half as many rows as the one before it, the two merge
+  /// (rows appended in queue order, key sets unioned). Chunk sizes then
+  /// more than halve from oldest to newest, so a side holds at most
+  /// log2(rows) + 1 chunks, and each row is copied O(log rows) times over
+  /// its life in the queue — per-statement seals (and SharedEngine's
+  /// per-commit forks) stay amortized O(batch · log rows) with no
+  /// dependence on how earlier statements were batched. The logical row
   /// sequence — and therefore every answer — is unchanged (results are
   /// chunking-independent by construction).
-  static void CompactChunks(std::vector<std::shared_ptr<const Table>>* chunks);
+  static void CompactChunks(std::vector<Chunk>* chunks);
   Result<Side*> SideFor(const Database& db, const std::string& relation,
                         std::map<std::string, Side>* sides);
   static std::vector<std::string> TableNamesFor(

@@ -346,6 +346,71 @@ TEST_F(RecoveryTest, SqlSessionDurableStatsAndCheckpointStatement) {
   EXPECT_EQ(plain_stats.rows.schema().NumColumns(), 7u);
 }
 
+// Recovery must rebuild the pending-key index: the checkpointed queue
+// (DecodeDeltaSet) and the WAL tail (replayed as whole-statement batches)
+// both feed it, so the constraint errors — and DELETE's idempotent skips —
+// after a reopen match a replica that never crashed.
+TEST_F(RecoveryTest, PendingKeyChecksAfterRecoveryMatchReplica) {
+  const std::vector<std::string> script = {
+      "CREATE TABLE T (a INT, b INT, PRIMARY KEY (a));",
+      "INSERT INTO T VALUES (1, 10), (2, 20), (3, 30), (4, 40);",
+      "REFRESH ALL;",
+      "CREATE MATERIALIZED VIEW V AS SELECT a, b FROM T;",
+      "INSERT INTO T VALUES (10, 1), (11, 1), (12, 1);",
+      "DELETE FROM T WHERE a = 1;",
+      "CHECKPOINT;",  // the queue so far lands in the checkpoint
+      "INSERT INTO T VALUES (20, 2), (21, 2);",
+      "INSERT INTO T VALUES (22, 2);",
+      "DELETE FROM T WHERE a <= 2;",  // the tail replays from the WAL
+      "INSERT INTO T VALUES (1, 11);",
+  };
+  const std::vector<std::string> probes = {
+      "INSERT INTO T VALUES (10, 9);",  // pending (checkpoint)
+      "INSERT INTO T VALUES (22, 9);",  // pending (WAL tail)
+      "INSERT INTO T VALUES (1, 9);",   // re-inserted after delete
+      "INSERT INTO T VALUES (3, 9);",   // committed, not deleted
+      "INSERT INTO T VALUES (2, 9);",   // committed, queued for deletion
+      "INSERT INTO T VALUES (30, 9), (30, 8);",  // within the statement
+      "DELETE FROM T WHERE a <= 3;",    // only a = 3 is new
+      "INSERT INTO T VALUES (3, 9);",
+      "REFRESH ALL;",
+      "INSERT INTO T VALUES (12, 9);",  // committed by the refresh
+  };
+  SqlSession replica(EngineHandle::Private());
+  {
+    DurableOptions o;
+    o.data_dir = dir_;
+    SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o));
+    SqlSession live(EngineHandle::Durable(eng));
+    for (const std::string& sql : script) {
+      SVC_ASSERT_OK(live.Execute(sql).status());
+      SVC_ASSERT_OK(replica.Execute(sql).status());
+    }
+  }
+  DurableOptions o;
+  o.data_dir = dir_;
+  RecoveryReport report;
+  SVC_ASSERT_OK_AND_ASSIGN(auto eng, DurableEngine::Open(o, &report));
+  EXPECT_GT(report.checkpoint_epoch, 0u);
+  EXPECT_EQ(report.wal_records_replayed, 4u);
+  SqlSession recovered(EngineHandle::Durable(eng));
+  for (const std::string& sql : probes) {
+    auto want = replica.Execute(sql);
+    auto got = recovered.Execute(sql);
+    ASSERT_EQ(got.ok(), want.ok())
+        << sql << "\n  recovered: " << got.status().ToString()
+        << "\n  replica: " << want.status().ToString();
+    if (want.ok()) {
+      EXPECT_EQ(got.value().message, want.value().message) << sql;
+    } else {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString()) << sql;
+    }
+  }
+  SVC_ASSERT_OK_AND_ASSIGN(SqlResult count,
+                           recovered.Execute("SELECT COUNT(1) AS c FROM T;"));
+  EXPECT_EQ(count.rows.row(0)[0].AsInt(), 10);
+}
+
 TEST_F(RecoveryTest, DeltaVersionSurvivesCheckpointAndReplay) {
   // The pending queue's mutation counter (SHOW STATS's delta_version) must
   // re-pair with the recovered state: restarting it from zero would alias

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
+
+#include <unistd.h>
 
 #include "sql/planner.h"
 #include "sql/session.h"
@@ -372,6 +376,115 @@ TEST_F(SessionTest, DuplicatePrimaryKeyInsertsRejectedUpFront) {
   ASSERT_EQ(r.rows.NumRows(), 1u);
   EXPECT_EQ(r.rows.row(0)[0].AsInt(), 2);
 }
+
+// ---- Pending-key checks in every engine mode --------------------------------
+
+/// One session per engine mode over the Log/Video data. The durable mode
+/// writes under a per-test temporary directory.
+class SessionModesTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    const std::string& mode = GetParam();
+    if (mode == "private") {
+      session_ = std::make_unique<SqlSession>(
+          EngineHandle::Private(MakeLogVideoDb()));
+    } else if (mode == "shared") {
+      session_ = std::make_unique<SqlSession>(EngineHandle::Shared(
+          std::make_shared<SharedEngine>(MakeLogVideoDb())));
+    } else if (mode == "durable") {
+      dir_ = ::testing::TempDir() + "/svc_session_modes_" +
+             std::to_string(::getpid());
+      std::filesystem::remove_all(dir_);
+      DurableOptions o;
+      o.data_dir = dir_;
+      auto dur = DurableEngine::Open(o);
+      ASSERT_TRUE(dur.ok()) << dur.status().ToString();
+      Database db = MakeLogVideoDb();
+      for (const char* t : {"Log", "Video"}) {
+        ASSERT_TRUE((*dur)->CreateTable(t, **db.GetTable(t)).ok());
+      }
+      session_ = std::make_unique<SqlSession>(EngineHandle::Durable(*dur));
+    } else {
+      session_ = std::make_unique<SqlSession>(EngineHandle::Sharded(
+          std::make_shared<ShardedEngine>(MakeLogVideoDb(), 4)));
+    }
+    // The view partitions Log across shards by sessionId.
+    Run("CREATE MATERIALIZED VIEW logView SAMPLING KEY (sessionId) AS "
+        "SELECT sessionId, videoId FROM Log");
+  }
+  void TearDown() override {
+    session_.reset();
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+
+  SqlResult Run(const std::string& sql) {
+    auto r = session_->Execute(sql);
+    if (!r.ok()) {
+      ADD_FAILURE() << r.status().ToString() << "\nSQL: " << sql;
+      return SqlResult();
+    }
+    return std::move(r).value();
+  }
+  Status Fail(const std::string& sql) {
+    auto r = session_->Execute(sql);
+    EXPECT_FALSE(r.ok()) << "expected failure for: " << sql;
+    return r.ok() ? Status::OK() : r.status();
+  }
+
+  std::unique_ptr<SqlSession> session_;
+  std::string dir_;
+};
+
+// A cache validated by pending row counts cannot tell "same counts,
+// different keys" apart: after REFRESH, re-inserting as many rows under new
+// keys must not hide a duplicate of one of the new keys.
+TEST_P(SessionModesTest, SameCountsDifferentKeysStillRejectDuplicates) {
+  Run("INSERT INTO Log VALUES (100, 1), (101, 2)");
+  Status first = Fail("INSERT INTO Log VALUES (101, 3)");
+  EXPECT_NE(first.message().find("the pending deltas"), std::string::npos);
+  Run("REFRESH ALL");
+  Run("INSERT INTO Log VALUES (200, 1), (201, 2)");
+  Status pending = Fail("INSERT INTO Log VALUES (201, 4)");
+  EXPECT_NE(pending.message().find("duplicates the primary key (sessionId=201)"
+                                   " of the pending deltas"),
+            std::string::npos)
+      << pending.ToString();
+  // The refreshed keys are committed rows now.
+  Status committed = Fail("INSERT INTO Log VALUES (100, 4)");
+  EXPECT_NE(committed.message().find("a committed row"), std::string::npos);
+  // The same holds one row per statement, across many statements.
+  Run("REFRESH ALL");
+  for (int k = 300; k < 340; ++k) {
+    Run("INSERT INTO Log VALUES (" + std::to_string(k) + ", 1)");
+  }
+  for (int k = 300; k < 340; k += 13) {
+    Fail("INSERT INTO Log VALUES (" + std::to_string(k) + ", 2)");
+  }
+  SqlResult count = Run("SELECT COUNT(1) AS c FROM Log");
+  EXPECT_EQ(count.rows.row(0)[0].AsInt(), 14);  // 10 + 4 committed
+}
+
+TEST_P(SessionModesTest, DeleteIsIdempotentAcrossStatements) {
+  SqlResult a = Run("DELETE FROM Log WHERE sessionId < 3");
+  EXPECT_NE(a.message.find("queued 3 delete(s)"), std::string::npos);
+  SqlResult b = Run("DELETE FROM Log WHERE sessionId < 5");
+  EXPECT_NE(b.message.find("queued 2 delete(s)"), std::string::npos);
+  SqlResult c = Run("DELETE FROM Log WHERE sessionId < 5");
+  EXPECT_NE(c.message.find("queued 0 delete(s)"), std::string::npos);
+  // A deleted key may be re-inserted (the update idiom) exactly once.
+  Run("INSERT INTO Log VALUES (1, 4)");
+  Fail("INSERT INTO Log VALUES (1, 4)");
+  Run("REFRESH ALL");
+  SqlResult count = Run("SELECT COUNT(1) AS c FROM Log");
+  EXPECT_EQ(count.rows.row(0)[0].AsInt(), 6);
+  // After REFRESH the same predicate queues the committed survivors again.
+  SqlResult d = Run("DELETE FROM Log WHERE sessionId < 5");
+  EXPECT_NE(d.message.find("queued 1 delete(s)"), std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, SessionModesTest,
+                         ::testing::Values("private", "shared", "durable",
+                                           "sharded4"));
 
 TEST_F(SessionTest, InsertIntoViewRejected) {
   Run(kVisitViewSql);

@@ -149,7 +149,7 @@ TEST(SharedEngineTest, ThousandCommitMaintenancePeriodStaysCompact) {
   // One insert per commit for a thousand commits between REFRESHes: the
   // CoW queue seals one chunk per fork, so without compaction the pending
   // queue would hold ~1000 chunks (and catalog names). The geometric
-  // policy bounds it at 2*log2(rows) (+1 pre-compaction, +1 tail).
+  // policy bounds it well below 2*log2(rows) (+1 pre-compaction, +1 tail).
   auto shared = MakeSharedEngine();
   for (int64_t i = 0; i < 1000; ++i) {
     SVC_ASSERT_OK(shared->InsertRecord(
