@@ -679,6 +679,82 @@ int main(int argc, char** argv) {
                 cache_bench.speedup());
   }
 
+  // Grouped CORR on a 4-shard ShardedEngine. Cold = caches off: every
+  // query cleans every shard, merges the shard samples, and re-aggregates
+  // the gathered stale view. Warm = a repeat on an unchanged cut: the shard
+  // caches hit, and the coordinator reuses the merged samples and the
+  // exact stale answers. Report-only: the memo hit/miss counters in
+  // tests/test_sharded_engine.cc are the deterministic guarantee.
+  struct GroupedCorrBench {
+    int shards = 4;
+    double cold_ms = 0;
+    double warm_ms = 0;
+    size_t groups = 0;
+    double speedup() const { return cold_ms / warm_ms; }
+  } grouped_corr;
+  {
+    const int64_t gc_rows = std::min<int64_t>(rows, 20000);
+    const Database base = MakeDb(gc_rows);
+    Rng rng(29);
+    const int64_t dims = std::max<int64_t>(gc_rows / 16, 1);
+    std::vector<Row> deltas;
+    for (int64_t i = 0; i < gc_rows / 20; ++i) {
+      deltas.push_back({Value::Int(gc_rows + i),
+                        Value::Int(rng.UniformInt(0, dims - 1)),
+                        Value::Double(rng.Uniform(0, 100))});
+    }
+    ShardedEngine warm(Database(), grouped_corr.shards);
+    ShardedEngine cold(Database(), grouped_corr.shards);
+    cold.set_sample_cache_enabled(false);
+    for (ShardedEngine* e : {&warm, &cold}) {
+      Status st = e->CreateTable("fact", **base.GetTable("fact"));
+      if (st.ok()) {
+        st = e->CreateView(
+            "factView",
+            PlanNode::Select(PlanNode::Scan("fact"),
+                             Expr::Gt(Expr::Col("val"), Expr::LitDouble(-1))));
+      }
+      if (st.ok()) st = e->InsertRows("fact", deltas);
+      if (!st.ok()) {
+        std::fprintf(stderr, "[micro_ops] %s\n", st.ToString().c_str());
+        return 2;
+      }
+    }
+    AggregateQuery q = AggregateQuery::Sum(Expr::Col("val"));
+    SvcQueryOptions qopts;
+    qopts.ratio = 0.1;
+    auto run_grouped = [&](const ShardedEngine& e,
+                           const ShardedSnapshot& snap) -> size_t {
+      auto r = e.QueryGrouped(snap, "factView", {"key"}, q, qopts);
+      if (!r.ok()) {
+        std::fprintf(stderr, "[micro_ops] grouped CORR failed: %s\n",
+                     r.status().ToString().c_str());
+        std::exit(2);
+      }
+      return r->result.group_keys.size();
+    };
+    const auto warm_snap = warm.Snapshot();
+    const auto cold_snap = cold.Snapshot();
+    size_t cold_groups = 0, warm_groups = 0;
+    grouped_corr.cold_ms = TimeMs(
+        reps, [&] { return run_grouped(cold, *cold_snap); }, &cold_groups);
+    grouped_corr.warm_ms = TimeMs(
+        reps, [&] { return run_grouped(warm, *warm_snap); }, &warm_groups);
+    if (cold_groups != warm_groups) {
+      std::fprintf(stderr,
+                   "[micro_ops] sharded_grouped_corr: cold answered %zu "
+                   "groups, warm %zu\n",
+                   cold_groups, warm_groups);
+      return 2;
+    }
+    grouped_corr.groups = warm_groups;
+    std::printf("%-16s cold %8.3f ms   warm %8.3f ms   speedup %7.1fx   "
+                "(%d shards, %zu groups)\n",
+                "grouped_corr", grouped_corr.cold_ms, grouped_corr.warm_ms,
+                grouped_corr.speedup(), grouped_corr.shards,
+                grouped_corr.groups);
+  }
+
   // -- Sharded scatter-gather query: unsharded vs 4-way fan-out ---------------
   // The same cold SVC query (sample caches off, so every run pays the full
   // cleaning pipeline) served by one engine vs a 4-shard ShardedEngine:
@@ -933,6 +1009,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "    \"cold_ms\": %.3f, \"warm_ms\": %.3f,\n",
                cache_bench.cold_ms, cache_bench.warm_ms);
+  std::fprintf(f,
+               "    \"sharded_grouped_corr\": {\"shards\": %d, "
+               "\"cold_ms\": %.3f, \"warm_ms\": %.3f, \"speedup\": %.2f, "
+               "\"groups\": %zu},\n",
+               grouped_corr.shards, grouped_corr.cold_ms, grouped_corr.warm_ms,
+               grouped_corr.speedup(), grouped_corr.groups);
   std::fprintf(f,
                "    \"gate\": {\"name\": \"svc_query_warm_vs_cold\", "
                "\"min_speedup\": %.2f, \"speedup\": %.2f, \"pass\": %s}\n"

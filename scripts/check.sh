@@ -338,6 +338,8 @@ echo "== Measured speedups (BENCH_executor.json) =="
 grep -o '"gate": {[^}]*}' BENCH_executor.json | sed 's/^/  /' || true
 grep -o '{"mode": "[a-z]*", "stmt_us": [^}]*}' BENCH_executor.json \
   | sed 's/^/  sql_ingest /' || true
+grep -o '"sharded_grouped_corr": {[^}]*}' BENCH_executor.json \
+  | sed 's/^/  query_cache /' || true
 
 if [[ "$gate_rc" -ne 0 ]]; then
   echo "Bench gate FAILED (micro_ops exit $gate_rc)." >&2

@@ -206,16 +206,45 @@ Estimate AqpFromRows(const std::vector<EvalRow>& rows,
   }
 }
 
+/// Assigns rows to the groups of `out` by the encoded values of the group
+/// columns, appending groups not seen before in first-seen order.
+struct GroupSlots {
+  GroupedResult* out;
+  KeyBuffer kb;
+
+  size_t SlotFor(const Row& row, const std::vector<size_t>& gidx) {
+    const RowKeyRef key = kb.Encode(row, gidx);
+    auto [slot, inserted] =
+        out->index.Emplace(key.bytes, key.hash, out->group_keys.size());
+    if (inserted) {
+      Row gk;
+      gk.reserve(gidx.size());
+      for (size_t i : gidx) gk.push_back(row[i]);
+      out->group_keys.push_back(std::move(gk));
+    }
+    return *slot;
+  }
+};
+
 /// A pair of corresponding rows (one per key in either sample).
 struct PairRow {
   bool has_fresh = false;
   bool has_stale = false;
   EvalRow fresh;
   EvalRow stale;
+  size_t group = 0;  ///< slot in PairRows' `groups`, when given
 };
 
+/// Pairs the samples by primary key: every fresh row in row order, then
+/// every stale-only row in row order. With `groups` set, each pair also
+/// records its group slot there (the fresh row's group when present, else
+/// the stale row's; `fg`/`sg` are the group columns in each sample),
+/// assigned in pair order.
 Result<std::vector<PairRow>> PairRows(const CorrespondingSamples& samples,
-                                      const AggregateQuery& q) {
+                                      const AggregateQuery& q,
+                                      GroupSlots* groups = nullptr,
+                                      const std::vector<size_t>& fg = {},
+                                      const std::vector<size_t>& sg = {}) {
   SVC_ASSIGN_OR_RETURN(std::vector<EvalRow> fresh,
                        EvalRows(samples.fresh, q));
   SVC_ASSIGN_OR_RETURN(std::vector<EvalRow> stale,
@@ -226,22 +255,24 @@ Result<std::vector<PairRow>> PairRows(const CorrespondingSamples& samples,
   by_key.Reserve(samples.fresh.NumRows());
   KeyBuffer kb;
   for (size_t i = 0; i < samples.fresh.NumRows(); ++i) {
-    const RowKeyRef key =
-        kb.Encode(samples.fresh.row(i), samples.fresh.pk_indices());
+    const Row& row = samples.fresh.row(i);
+    const RowKeyRef key = kb.Encode(row, samples.fresh.pk_indices());
     by_key.Emplace(key.bytes, key.hash, pairs.size());
     PairRow p;
     p.has_fresh = true;
     p.fresh = fresh[i];
+    if (groups != nullptr) p.group = groups->SlotFor(row, fg);
     pairs.push_back(p);
   }
   for (size_t i = 0; i < samples.stale.NumRows(); ++i) {
-    const RowKeyRef key =
-        kb.Encode(samples.stale.row(i), samples.stale.pk_indices());
+    const Row& row = samples.stale.row(i);
+    const RowKeyRef key = kb.Encode(row, samples.stale.pk_indices());
     const size_t* slot = by_key.Find(key.bytes, key.hash);
     if (slot == nullptr) {
       PairRow p;
       p.has_stale = true;
       p.stale = stale[i];
+      if (groups != nullptr) p.group = groups->SlotFor(row, sg);
       pairs.push_back(p);
     } else {
       pairs[*slot].has_stale = true;
@@ -251,16 +282,23 @@ Result<std::vector<PairRow>> PairRows(const CorrespondingSamples& samples,
   return pairs;
 }
 
-/// Correction estimate (and CI) for one set of pairs.
+/// Correction estimate (and CI) for the pairs `members` indexes (all of
+/// `pairs` when null).
 Estimate CorrFromPairs(const std::vector<PairRow>& pairs,
+                       const std::vector<size_t>* members,
                        const AggregateQuery& q, double exact_stale, double m,
                        bool stale_group_exists, const EstimatorOptions& opts) {
+  const size_t n = members != nullptr ? members->size() : pairs.size();
+  auto at = [&](size_t k) -> const PairRow& {
+    return pairs[members != nullptr ? (*members)[k] : k];
+  };
   const double z = NormalQuantile(opts.confidence);
   if (IsTotalQuery(q.func)) {
     // ĉ = Σ (t'_i − t_i)/m over corresponding keys (−̇, nulls as zero);
     // HT variance as in the AQP case but on the differences.
     double total = 0, ssq = 0;
-    for (const auto& p : pairs) {
+    for (size_t k = 0; k < n; ++k) {
+      const PairRow& p = at(k);
       const double d = (p.has_fresh ? SumTerm(q, p.fresh) : 0.0) -
                        (p.has_stale ? SumTerm(q, p.stale) : 0.0);
       total += d;
@@ -275,51 +313,53 @@ Estimate CorrFromPairs(const std::vector<PairRow>& pairs,
     e.ci_high = e.value + hw;
     e.confidence = opts.confidence;
     e.has_ci = true;
-    e.sample_rows = pairs.size();
+    e.sample_rows = n;
     return e;
   }
 
   // avg / median: correction on the statistic itself, bootstrap-bounded
-  // (§5.2.5's SVC+CORR bootstrap: resample pairs, re-estimate c).
-  auto stat_of = [&q](const std::vector<PairRow>& ps,
-                      const std::vector<size_t>* idx) {
-    std::vector<double> f, s;
-    auto visit = [&](const PairRow& p) {
+  // (§5.2.5's SVC+CORR bootstrap: resample pairs, re-estimate c). Without
+  // an Rng the statistic runs over every pair in order; with one, over n
+  // pairs drawn with replacement inline — the same draws ResampleIndices
+  // makes — in draw order. avg keeps running sums (the same additions in
+  // the same order as Mean over the collected values); median collects
+  // into per-thread buffers reused across replicates.
+  const bool median = q.func == AggFunc::kMedian;
+  auto stat_of = [&](Rng* rng) {
+    thread_local std::vector<double> f, s;
+    f.clear();
+    s.clear();
+    double f_sum = 0, s_sum = 0;
+    size_t f_n = 0, s_n = 0;
+    const int64_t last = static_cast<int64_t>(n) - 1;
+    for (size_t k = 0; k < n; ++k) {
+      const PairRow& p =
+          at(rng == nullptr ? k
+                            : static_cast<size_t>(rng->UniformInt(0, last)));
       if (p.has_fresh && p.fresh.pred && !p.fresh.x_null) {
-        f.push_back(p.fresh.x);
+        if (median) f.push_back(p.fresh.x);
+        f_sum += p.fresh.x;
+        ++f_n;
       }
       if (p.has_stale && p.stale.pred && !p.stale.x_null) {
-        s.push_back(p.stale.x);
+        if (median) s.push_back(p.stale.x);
+        s_sum += p.stale.x;
+        ++s_n;
       }
-    };
-    if (idx) {
-      for (size_t i : *idx) visit(ps[i]);
-    } else {
-      for (const auto& p : ps) visit(p);
     }
-    double fs, ss;
-    if (q.func == AggFunc::kMedian) {
-      fs = MedianInPlace(&f);
-      ss = MedianInPlace(&s);
-    } else {
-      fs = Mean(f);
-      ss = Mean(s);
-    }
-    return fs - ss;
+    if (median) return MedianInPlace(&f) - MedianInPlace(&s);
+    return (f_n == 0 ? 0.0 : f_sum / static_cast<double>(f_n)) -
+           (s_n == 0 ? 0.0 : s_sum / static_cast<double>(s_n));
   };
 
   Estimate e;
-  const double c = stat_of(pairs, nullptr);
+  const double c = stat_of(nullptr);
   e.value = stale_group_exists ? exact_stale + c : c;
-  e.sample_rows = pairs.size();
-  if (pairs.size() >= 4) {
+  e.sample_rows = n;
+  if (n >= 4) {
     auto [lo, hi] = BootstrapPercentileInterval(
-        [&](Rng* rng) {
-          const std::vector<size_t> idx = ResampleIndices(pairs.size(), rng);
-          return stat_of(pairs, &idx);
-        },
-        opts.bootstrap_iterations, opts.bootstrap_seed, opts.confidence,
-        opts.num_threads);
+        stat_of, opts.bootstrap_iterations, opts.bootstrap_seed,
+        opts.confidence, opts.num_threads);
     e.ci_low = (stale_group_exists ? exact_stale : 0.0) + lo;
     e.ci_high = (stale_group_exists ? exact_stale : 0.0) + hi;
     e.confidence = opts.confidence;
@@ -327,6 +367,57 @@ Estimate CorrFromPairs(const std::vector<PairRow>& pairs,
   }
   return e;
 }
+
+/// An exact aggregate fed rows in row order: Σ SumTerm for totals, else
+/// the mean / MedianInPlace / extremum of the predicate values. A group's
+/// accumulator sees the same terms in the same order as a scan of that
+/// group's rows alone, so one pass over many groups is bit-identical to
+/// one pass per group.
+struct ExactAcc {
+  double sum = 0;
+  size_t n = 0;                ///< rows counted (the estimate's sample_rows)
+  std::vector<double> values;  ///< median / min / max only
+
+  void Add(const AggregateQuery& q, const EvalRow& er) {
+    if (IsTotalQuery(q.func)) {
+      sum += SumTerm(q, er);
+      ++n;
+    } else if (er.pred && !er.x_null) {
+      if (q.func == AggFunc::kAvg) {
+        sum += er.x;
+      } else {
+        values.push_back(er.x);
+      }
+      ++n;
+    }
+  }
+
+  /// False for aggregates without an exact evaluator.
+  static bool Supported(AggFunc f) {
+    return IsTotalQuery(f) || f == AggFunc::kAvg || f == AggFunc::kMedian ||
+           f == AggFunc::kMin || f == AggFunc::kMax;
+  }
+
+  /// The answer (destroys the order of `values`).
+  double Value(AggFunc f) {
+    switch (f) {
+      case AggFunc::kAvg:
+        return n == 0 ? 0.0 : sum / static_cast<double>(n);
+      case AggFunc::kMedian:
+        return MedianInPlace(&values);
+      case AggFunc::kMin:
+        return values.empty()
+                   ? 0.0
+                   : *std::min_element(values.begin(), values.end());
+      case AggFunc::kMax:
+        return values.empty()
+                   ? 0.0
+                   : *std::max_element(values.begin(), values.end());
+      default:
+        return sum;
+    }
+  }
+};
 
 }  // namespace
 
@@ -368,31 +459,8 @@ double NormalQuantile(double confidence) {
 }
 
 Result<double> ExactAggregate(const Table& view, const AggregateQuery& q) {
-  SVC_ASSIGN_OR_RETURN(std::vector<EvalRow> rows, EvalRows(view, q));
-  if (IsTotalQuery(q.func)) {
-    double total = 0;
-    for (const auto& er : rows) total += SumTerm(q, er);
-    return total;
-  }
-  std::vector<double> values = PredValues(rows);
-  switch (q.func) {
-    case AggFunc::kAvg:
-      return Mean(values);
-    case AggFunc::kMedian:
-      return MedianInPlace(&values);
-    case AggFunc::kMin:
-      return values.empty() ? 0.0
-                            : *std::min_element(values.begin(), values.end());
-    case AggFunc::kMax:
-      return values.empty() ? 0.0
-                            : *std::max_element(values.begin(), values.end());
-    default:
-      return Status::NotSupported(
-          std::string(AggFuncName(q.func)) +
-          " has no exact single-pass evaluator (supported: sum, count, "
-          "count(*), avg, median, min, max); query: " +
-          q.ToString());
-  }
+  SVC_ASSIGN_OR_RETURN(GroupedResult r, ExactAggregateGrouped(view, {}, q));
+  return r.Scalar();
 }
 
 Result<Estimate> SvcAqpEstimate(const CorrespondingSamples& samples,
@@ -407,6 +475,13 @@ Result<Estimate> SvcCorrEstimate(const Table& stale_view,
                                  const AggregateQuery& q,
                                  const EstimatorOptions& opts) {
   SVC_ASSIGN_OR_RETURN(double exact_stale, ExactAggregate(stale_view, q));
+  return SvcCorrEstimate(exact_stale, samples, q, opts);
+}
+
+Result<Estimate> SvcCorrEstimate(double exact_stale,
+                                 const CorrespondingSamples& samples,
+                                 const AggregateQuery& q,
+                                 const EstimatorOptions& opts) {
   SVC_ASSIGN_OR_RETURN(std::vector<PairRow> pairs, PairRows(samples, q));
   if (q.func == AggFunc::kMin || q.func == AggFunc::kMax) {
     // Appendix §12.1.1: correct the stale extremum by the largest (resp.
@@ -429,33 +504,9 @@ Result<Estimate> SvcCorrEstimate(const Table& stale_view,
     e.sample_rows = pairs.size();
     return e;
   }
-  return CorrFromPairs(pairs, q, exact_stale, samples.ratio,
+  return CorrFromPairs(pairs, nullptr, q, exact_stale, samples.ratio,
                        /*stale_group_exists=*/true, opts);
 }
-
-namespace {
-
-/// Buckets table rows by the encoded values of `group_columns`.
-struct Buckets {
-  std::vector<Row> keys;
-  std::vector<std::vector<size_t>> rows;
-  FlatKeyMap<size_t> index;
-  KeyBuffer kb;
-
-  size_t SlotFor(const Table& t, size_t row, const std::vector<size_t>& gidx) {
-    const RowKeyRef key = kb.Encode(t.row(row), gidx);
-    auto [slot, inserted] = index.Emplace(key.bytes, key.hash, keys.size());
-    if (inserted) {
-      Row gk;
-      for (size_t i : gidx) gk.push_back(t.row(row)[i]);
-      keys.push_back(std::move(gk));
-      rows.emplace_back();
-    }
-    return *slot;
-  }
-};
-
-}  // namespace
 
 Result<GroupedResult> ExactAggregateGrouped(
     const Table& view, const std::vector<std::string>& group_columns,
@@ -463,24 +514,32 @@ Result<GroupedResult> ExactAggregateGrouped(
   SVC_ASSIGN_OR_RETURN(std::vector<size_t> gidx,
                        view.schema().ResolveAll(group_columns));
   SVC_ASSIGN_OR_RETURN(std::vector<EvalRow> rows, EvalRows(view, q));
-  Buckets buckets;
-  for (size_t i = 0; i < view.NumRows(); ++i) {
-    buckets.rows[buckets.SlotFor(view, i, gidx)].push_back(i);
+  if (!ExactAcc::Supported(q.func)) {
+    return Status::NotSupported(
+        std::string(AggFuncName(q.func)) +
+        " has no exact single-pass evaluator (supported: sum, count, "
+        "count(*), avg, median, min, max); query: " +
+        q.ToString());
   }
   GroupedResult out;
   out.group_columns = group_columns;
-  out.group_keys = buckets.keys;
-  out.index = buckets.index;
-  out.estimates.resize(buckets.keys.size());
-  for (size_t g = 0; g < buckets.keys.size(); ++g) {
-    std::vector<EvalRow> sub;
-    sub.reserve(buckets.rows[g].size());
-    for (size_t i : buckets.rows[g]) sub.push_back(rows[i]);
-    // Exact evaluation: reuse the AQP path with m = 1 (no scaling, zero
-    // variance).
-    Estimate e = AqpFromRows(sub, q, 1.0, {});
-    e.has_ci = false;
-    out.estimates[g] = e;
+  GroupSlots slots{&out, {}};
+  std::vector<ExactAcc> acc;
+  for (size_t i = 0; i < view.NumRows(); ++i) {
+    // No group columns: one group, so only the first row needs a lookup.
+    const size_t g =
+        gidx.empty() && i > 0 ? 0 : slots.SlotFor(view.row(i), gidx);
+    if (g == acc.size()) acc.emplace_back();
+    acc[g].Add(q, rows[i]);
+  }
+  out.estimates.resize(acc.size());
+  for (size_t g = 0; g < acc.size(); ++g) {
+    // Exact: no sampling error, so the interval collapses to the value.
+    Estimate& e = out.estimates[g];
+    e.value = acc[g].Value(q.func);
+    e.ci_low = e.value;
+    e.ci_high = e.value;
+    e.sample_rows = acc[g].n;
   }
   return out;
 }
@@ -493,20 +552,18 @@ Result<GroupedResult> SvcAqpEstimateGrouped(
   SVC_ASSIGN_OR_RETURN(std::vector<size_t> gidx,
                        t.schema().ResolveAll(group_columns));
   SVC_ASSIGN_OR_RETURN(std::vector<EvalRow> rows, EvalRows(t, q));
-  Buckets buckets;
-  for (size_t i = 0; i < t.NumRows(); ++i) {
-    buckets.rows[buckets.SlotFor(t, i, gidx)].push_back(i);
-  }
   GroupedResult out;
   out.group_columns = group_columns;
-  out.group_keys = buckets.keys;
-  out.index = buckets.index;
-  out.estimates.resize(buckets.keys.size());
-  for (size_t g = 0; g < buckets.keys.size(); ++g) {
-    std::vector<EvalRow> sub;
-    sub.reserve(buckets.rows[g].size());
-    for (size_t i : buckets.rows[g]) sub.push_back(rows[i]);
-    out.estimates[g] = AqpFromRows(sub, q, samples.ratio, opts);
+  GroupSlots slots{&out, {}};
+  std::vector<std::vector<EvalRow>> members;
+  for (size_t i = 0; i < t.NumRows(); ++i) {
+    const size_t g = slots.SlotFor(t.row(i), gidx);
+    if (g == members.size()) members.emplace_back();
+    members[g].push_back(rows[i]);
+  }
+  out.estimates.resize(members.size());
+  for (size_t g = 0; g < members.size(); ++g) {
+    out.estimates[g] = AqpFromRows(members[g], q, samples.ratio, opts);
   }
   return out;
 }
@@ -515,76 +572,41 @@ Result<GroupedResult> SvcCorrEstimateGrouped(
     const Table& stale_view, const CorrespondingSamples& samples,
     const std::vector<std::string>& group_columns, const AggregateQuery& q,
     const EstimatorOptions& opts) {
-  // Exact per-group stale answers.
   SVC_ASSIGN_OR_RETURN(GroupedResult stale_exact,
                        ExactAggregateGrouped(stale_view, group_columns, q));
+  return SvcCorrEstimateGrouped(stale_exact, samples, group_columns, q, opts);
+}
 
-  // Pair the samples and bucket pairs by group (taken from the fresh side
-  // when present, else the stale side).
-  SVC_ASSIGN_OR_RETURN(std::vector<PairRow> pairs, PairRows(samples, q));
+Result<GroupedResult> SvcCorrEstimateGrouped(
+    const GroupedResult& stale_exact, const CorrespondingSamples& samples,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const EstimatorOptions& opts) {
   SVC_ASSIGN_OR_RETURN(std::vector<size_t> fg,
                        samples.fresh.schema().ResolveAll(group_columns));
   SVC_ASSIGN_OR_RETURN(std::vector<size_t> sg,
                        samples.stale.schema().ResolveAll(group_columns));
-
-  // Rebuild pair->group assignment. PairRows() ordered pairs as: all fresh
-  // rows first (by row index), then stale-only rows.
-  std::vector<std::string> pair_group(pairs.size());
-  std::vector<Row> pair_group_key(pairs.size());
-  {
-    size_t slot = 0;
-    for (size_t i = 0; i < samples.fresh.NumRows(); ++i, ++slot) {
-      pair_group[slot] = EncodeRowKey(samples.fresh.row(i), fg);
-      Row gk;
-      for (size_t c : fg) gk.push_back(samples.fresh.row(i)[c]);
-      pair_group_key[slot] = std::move(gk);
-    }
-    KeySet fresh_keys;
-    fresh_keys.Reserve(samples.fresh.NumRows());
-    KeyBuffer kb;
-    for (size_t i = 0; i < samples.fresh.NumRows(); ++i) {
-      const RowKeyRef key =
-          kb.Encode(samples.fresh.row(i), samples.fresh.pk_indices());
-      fresh_keys.Insert(key.bytes, key.hash);
-    }
-    for (size_t i = 0; i < samples.stale.NumRows(); ++i) {
-      const RowKeyRef key =
-          kb.Encode(samples.stale.row(i), samples.stale.pk_indices());
-      if (fresh_keys.Contains(key.bytes, key.hash)) continue;
-      pair_group[slot] = EncodeRowKey(samples.stale.row(i), sg);
-      Row gk;
-      for (size_t c : sg) gk.push_back(samples.stale.row(i)[c]);
-      pair_group_key[slot] = std::move(gk);
-      ++slot;
-    }
-  }
-
-  // Union of groups: stale-exact groups plus sampled groups.
+  // Union of groups: the stale-exact groups, then groups first seen in the
+  // pairs (pairs take the fresh row's group when present, else the stale
+  // row's).
   GroupedResult out;
   out.group_columns = group_columns;
   out.group_keys = stale_exact.group_keys;
   out.index = stale_exact.index;
-  std::vector<std::vector<PairRow>> group_pairs(out.group_keys.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    auto [slot, inserted] =
-        out.index.Emplace(pair_group[p], out.group_keys.size());
-    if (inserted) {
-      out.group_keys.push_back(pair_group_key[p]);
-      group_pairs.emplace_back();
-    }
-    if (*slot >= group_pairs.size()) {
-      group_pairs.resize(out.group_keys.size());
-    }
-    group_pairs[*slot].push_back(pairs[p]);
-  }
-  group_pairs.resize(out.group_keys.size());
+  GroupSlots slots{&out, {}};
+  SVC_ASSIGN_OR_RETURN(std::vector<PairRow> pairs,
+                       PairRows(samples, q, &slots, fg, sg));
 
-  out.estimates.resize(out.group_keys.size());
-  for (size_t g = 0; g < out.group_keys.size(); ++g) {
+  // Each group's pairs (indices, in pair order).
+  std::vector<std::vector<size_t>> members(out.group_keys.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    members[pairs[i].group].push_back(i);
+  }
+  out.estimates.resize(members.size());
+  for (size_t g = 0; g < members.size(); ++g) {
     const bool in_stale = g < stale_exact.estimates.size();
     const double exact = in_stale ? stale_exact.estimates[g].value : 0.0;
-    out.estimates[g] = CorrFromPairs(group_pairs[g], q, exact, samples.ratio,
-                                     in_stale, opts);
+    out.estimates[g] = CorrFromPairs(pairs, &members[g], q, exact,
+                                     samples.ratio, in_stale, opts);
   }
   return out;
 }

@@ -94,6 +94,14 @@ Result<Estimate> SvcCorrEstimate(const Table& stale_view,
                                  const AggregateQuery& q,
                                  const EstimatorOptions& opts = {});
 
+/// SVC+CORR given the exact stale answer q(S) = ExactAggregate(stale_view,
+/// q), e.g. memoized while the stale view is unchanged. Bit-identical to
+/// the form above.
+Result<Estimate> SvcCorrEstimate(double exact_stale,
+                                 const CorrespondingSamples& samples,
+                                 const AggregateQuery& q,
+                                 const EstimatorOptions& opts = {});
+
 // ---- Grouped variants ------------------------------------------------------
 
 /// Results of evaluating the same aggregate once per group.
@@ -109,9 +117,15 @@ struct GroupedResult {
     const size_t* slot = index.Find(encoded_key);
     return slot == nullptr ? nullptr : &estimates[*slot];
   }
+
+  /// The answer of a query with no group columns (one group; none over an
+  /// empty table, whose answer is 0).
+  double Scalar() const { return estimates.empty() ? 0.0 : estimates[0].value; }
 };
 
-/// Exact per-group evaluation over a full table.
+/// Exact per-group evaluation over a full table, in one pass. Groups appear
+/// in first-seen row order; each estimate has no CI (the interval is the
+/// value itself). No group columns = one group: ExactAggregate's answer.
 Result<GroupedResult> ExactAggregateGrouped(
     const Table& view, const std::vector<std::string>& group_columns,
     const AggregateQuery& q);
@@ -128,6 +142,14 @@ Result<GroupedResult> SvcAqpEstimateGrouped(
 /// nor the samples are absent.
 Result<GroupedResult> SvcCorrEstimateGrouped(
     const Table& stale_view, const CorrespondingSamples& samples,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    const EstimatorOptions& opts = {});
+
+/// Per-group SVC+CORR given the exact stale per-group answers
+/// `stale_exact` = ExactAggregateGrouped(stale_view, group_columns, q).
+/// Bit-identical to the form above.
+Result<GroupedResult> SvcCorrEstimateGrouped(
+    const GroupedResult& stale_exact, const CorrespondingSamples& samples,
     const std::vector<std::string>& group_columns, const AggregateQuery& q,
     const EstimatorOptions& opts = {});
 

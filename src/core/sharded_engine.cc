@@ -1,6 +1,7 @@
 #include "core/sharded_engine.h"
 
 #include <chrono>
+#include <cstdio>
 #include <utility>
 
 #include "common/flat_map.h"
@@ -14,6 +15,11 @@
 namespace svc {
 
 namespace {
+
+/// The coordinator memos follow the cut's sample-cache switch.
+bool MemoEnabled(const ShardedSnapshot& snap) {
+  return snap.shards[0]->engine.sample_cache_enabled();
+}
 
 /// Number of scan nodes per base relation in `plan`. Placement needs the
 /// count (not just the set): a relation is partitionable only when *every*
@@ -433,8 +439,16 @@ Result<std::vector<ViewMaintenanceScore>> ShardedEngine::ScoreViews(
       out.push_back(ScoreOneView(name, 0, 0, nullptr, eff, elapsed_ms));
       continue;
     }
-    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stored,
-                         GatherTable(snap, name));
+    // Stored rows without a gather: a partitioned-class view's shard parts
+    // are key-disjoint; a replicated-class view is whole on shard 0.
+    size_t stored_rows = 0;
+    for (size_t s = 0;
+         s < (snap.meta->IsPartitionedView(name) ? snap.shards.size() : 1);
+         ++s) {
+      SVC_ASSIGN_OR_RETURN(const Table* part,
+                           snap.shards[s]->engine.db().GetTable(name));
+      stored_rows += part->NumRows();
+    }
     // Coordinator-merged probe: same shape as the single-engine probe, and
     // bit-identical at any shard count, so the resulting scores (and
     // therefore the policy's refresh choices) are shard-count-invariant.
@@ -443,8 +457,8 @@ Result<std::vector<ViewMaintenanceScore>> ShardedEngine::ScoreViews(
     opts.auto_mode = true;
     Result<SvcAnswer> probe = Query(snap, name, AggregateQuery::Count(), opts);
     const Estimate* est = probe.ok() ? &probe.value().estimate : nullptr;
-    out.push_back(ScoreOneView(name, pending_rows, stored->NumRows(), est, eff,
-                               elapsed_ms));
+    out.push_back(
+        ScoreOneView(name, pending_rows, stored_rows, est, eff, elapsed_ms));
   }
   return out;
 }
@@ -470,15 +484,22 @@ ShardedEngine::FanOutSamples(const ShardedSnapshot& snap,
   });
   for (const Status& st : statuses) SVC_RETURN_IF_ERROR(st);
   RecordFanOutOutcome(view, outcomes);
-  SVC_ASSIGN_OR_RETURN(CorrespondingSamples merged,
-                       MergeCorrespondingSamples(parts));
-  auto shared = std::make_shared<const CorrespondingSamples>(std::move(merged));
+  // When every shard hit its cache, the parts are the objects the last
+  // merge read, and the merge is skipped.
+  char detail[64];
+  std::snprintf(detail, sizeof(detail), "%a/%d", opts.ratio,
+                static_cast<int>(opts.family));
+  SVC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CorrespondingSamples> merged,
+      merged_samples_.GetOrCompute(
+          view, detail, {parts.begin(), parts.end()}, MemoEnabled(snap),
+          [&parts] { return MergeCorrespondingSamples(parts); }));
   *mode_used = opts.mode;
   if (opts.auto_mode) {
-    SVC_ASSIGN_OR_RETURN(PolicyDecision d, ChooseEstimator(*shared, q));
+    SVC_ASSIGN_OR_RETURN(PolicyDecision d, ChooseEstimator(*merged, q));
     *mode_used = d.mode;
   }
-  return std::shared_ptr<const CorrespondingSamples>(shared);
+  return merged;
 }
 
 Result<SvcAnswer> ShardedEngine::Query(const ShardedSnapshot& snap,
@@ -500,8 +521,12 @@ Result<SvcAnswer> ShardedEngine::Query(const ShardedSnapshot& snap,
   } else {
     SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
                          GatherTable(snap, view));
+    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedResult> exact,
+                         ExactStaleAnswer(&stale_answers_, view, stale, {}, q,
+                                          MemoEnabled(snap)));
     SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcCorrEstimate(*stale, *samples, q, opts.estimator));
+                         SvcCorrEstimate(exact->Scalar(), *samples, q,
+                                         opts.estimator));
   }
   return answer;
 }
@@ -523,8 +548,11 @@ Result<SvcGroupedAnswer> ShardedEngine::QueryGrouped(
   } else {
     SVC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> stale,
                          GatherTable(snap, view));
+    SVC_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedResult> exact,
+                         ExactStaleAnswer(&stale_answers_, view, stale,
+                                          group_columns, q, MemoEnabled(snap)));
     SVC_ASSIGN_OR_RETURN(
-        answer.result, SvcCorrEstimateGrouped(*stale, *samples, group_columns,
+        answer.result, SvcCorrEstimateGrouped(*exact, *samples, group_columns,
                                               q, opts.estimator));
   }
   return answer;
@@ -552,19 +580,15 @@ Result<std::shared_ptr<const Table>> ShardedEngine::GatherTable(
     }
     parts.push_back(std::move(part));
   }
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    auto it = gather_cache_.find(name);
-    if (it != gather_cache_.end() && it->second.parts == parts) {
-      return it->second.merged;
-    }
-  }
-  SVC_ASSIGN_OR_RETURN(Table merged, MergeShardTables(parts));
-  std::shared_ptr<const Table> shared =
-      std::make_shared<Table>(std::move(merged));
-  std::lock_guard<std::mutex> lock(gather_mu_);
-  gather_cache_[name] = GatherEntry{std::move(parts), shared};
-  return shared;
+  SVC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Gathered> gathered,
+      gathered_.GetOrCompute(name, "", {parts.begin(), parts.end()},
+                             /*use_memo=*/true, [&]() -> Result<Gathered> {
+                               SVC_ASSIGN_OR_RETURN(Table merged,
+                                                    MergeShardTables(parts));
+                               return Gathered{parts, std::move(merged)};
+                             }));
+  return std::shared_ptr<const Table>(gathered, &gathered->merged);
 }
 
 void ShardedEngine::RecordFanOutOutcome(

@@ -181,8 +181,18 @@ class ShardedEngine {
 
   /// Enables/disables every shard's sample cache (new statements fork from
   /// the current heads, so this takes effect at the next commit; call it
-  /// before serving).
+  /// before serving). The coordinator's merged-sample and stale-answer
+  /// memos follow the switch of the cut a query reads.
   void set_sample_cache_enabled(bool enabled);
+
+  /// Per-view hit/miss counters of the coordinator memos (partitioned-class
+  /// views only; shard 0 answers, and counts, replicated-class views).
+  std::map<std::string, MemoStats> MergedSampleStats() const {
+    return merged_samples_.Stats();
+  }
+  std::map<std::string, MemoStats> StaleAnswerStats() const {
+    return stale_answers_.Stats();
+  }
 
   // ---- Maintenance policy (docs/ARCHITECTURE.md "Maintenance policy") -----
   /// Publishes `cfg` on every shard as one statement (every shard's policy
@@ -209,9 +219,10 @@ class ShardedEngine {
   MaintenanceStats maintenance_stats() const;
 
   /// Coordinator-side view scores under `snap` (SHOW MAINTENANCE and the
-  /// tick): pending rows are logical (PendingRowsFor), view rows come from
-  /// the gathered table, and the error probe is a coordinator-merged
-  /// auto-mode COUNT(*) — all shard-count-invariant.
+  /// tick): pending rows are logical (PendingRowsFor), view rows are the
+  /// shards' stored rows (summed for partitioned-class views), and the
+  /// error probe is a coordinator-merged auto-mode COUNT(*) — all
+  /// shard-count-invariant.
   Result<std::vector<ViewMaintenanceScore>> ScoreViews(
       const ShardedSnapshot& snap, const MaintenancePolicyConfig& cfg,
       uint64_t elapsed_ms) const;
@@ -283,13 +294,23 @@ class ShardedEngine {
   mutable std::mutex head_mu_;
   ShardedSnapshotPtr head_;
 
-  /// Memoized cross-shard table merges, validated by part identity.
-  struct GatherEntry {
+  /// Coordinator memos, each entry valid while the shard-side objects it
+  /// was built from are the same (core/identity_memo.h): gathered tables
+  /// by their shard parts, merged samples by the shards' cached samples,
+  /// exact stale answers by the gathered stale view.
+  ///
+  /// A gathered entry also holds its parts, as the gather cache before it
+  /// did: a superseded cut's parts live until the next merge of that table
+  /// replaces the entry, not just until REFRESH. Holding them only weakly
+  /// left later SELECT and DELETE scans of gathered tables slower on
+  /// `refresh_cycle` (docs/PERF.md, "CORR query reuse").
+  struct Gathered {
     std::vector<std::shared_ptr<const Table>> parts;
-    std::shared_ptr<const Table> merged;
+    Table merged;
   };
-  mutable std::mutex gather_mu_;
-  mutable std::map<std::string, GatherEntry> gather_cache_;
+  mutable IdentityMemo<Gathered> gathered_;
+  mutable IdentityMemo<CorrespondingSamples> merged_samples_;
+  mutable IdentityMemo<GroupedResult> stale_answers_;
 
   /// Logical serving counters for partitioned-class views (one event per
   /// coordinator fan-out; see CoordinatorCacheStats).

@@ -1,8 +1,42 @@
 #include "core/svc.h"
 
 #include "relational/executor.h"
+#include "storage/serde.h"
 
 namespace svc {
+
+namespace {
+
+/// An injective encoding of a query and its group columns: the aggregate,
+/// each expression in serde's self-delimiting form, then the
+/// length-prefixed column names.
+std::string QueryKey(const AggregateQuery& q,
+                     const std::vector<std::string>& group_columns) {
+  std::string key(1, static_cast<char>(q.func));
+  for (const ExprPtr* e : {&q.attr, &q.predicate}) {
+    key.push_back(*e != nullptr ? '+' : '-');
+    if (*e != nullptr) EncodeExpr(**e, &key);
+  }
+  for (const std::string& c : group_columns) {
+    key += std::to_string(c.size()) + ":" + c;
+  }
+  return key;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const GroupedResult>> ExactStaleAnswer(
+    IdentityMemo<GroupedResult>* memo, const std::string& view,
+    const std::shared_ptr<const Table>& stale,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    bool use_memo) {
+  if (stale == nullptr) {
+    return Status::UnknownRelation("no such table: " + view);
+  }
+  return memo->GetOrCompute(
+      view, QueryKey(q, group_columns), {stale}, use_memo,
+      [&] { return ExactAggregateGrouped(*stale, group_columns, q); });
+}
 
 SvcEngine::SvcEngine(const SvcEngine& other)
     : db_(other.db_),
@@ -10,7 +44,8 @@ SvcEngine::SvcEngine(const SvcEngine& other)
       pending_(other.pending_),
       exec_options_(other.exec_options_),
       maintenance_policy_(other.maintenance_policy_),
-      sample_cache_enabled_(other.sample_cache_enabled_) {
+      sample_cache_enabled_(other.sample_cache_enabled_),
+      stale_answers_(other.stale_answers_) {
   // The pending-queue copy sealed other's tails into fresh chunks; sync the
   // forked catalog so maintenance/cleaning plans built on this engine can
   // scan them (the sealed-chunk registrations share storage — no copies).
@@ -240,9 +275,13 @@ Result<SvcAnswer> SvcEngine::Query(const std::string& name,
     SVC_ASSIGN_OR_RETURN(answer.estimate,
                          SvcAqpEstimate(*samples, q, opts.estimator));
   } else {
-    SVC_ASSIGN_OR_RETURN(const Table* stale, db_.GetTable(name));
+    SVC_ASSIGN_OR_RETURN(
+        std::shared_ptr<const GroupedResult> exact,
+        ExactStaleAnswer(stale_answers_.get(), name, db_.GetTableShared(name),
+                         {}, q, sample_cache_enabled_));
     SVC_ASSIGN_OR_RETURN(answer.estimate,
-                         SvcCorrEstimate(*stale, *samples, q, opts.estimator));
+                         SvcCorrEstimate(exact->Scalar(), *samples, q,
+                                         opts.estimator));
   }
   return answer;
 }
@@ -258,9 +297,12 @@ Result<SvcGroupedAnswer> SvcEngine::QueryGrouped(
         answer.result,
         SvcAqpEstimateGrouped(*samples, group_columns, q, opts.estimator));
   } else {
-    SVC_ASSIGN_OR_RETURN(const Table* stale, db_.GetTable(name));
     SVC_ASSIGN_OR_RETURN(
-        answer.result, SvcCorrEstimateGrouped(*stale, *samples, group_columns,
+        std::shared_ptr<const GroupedResult> exact,
+        ExactStaleAnswer(stale_answers_.get(), name, db_.GetTableShared(name),
+                         group_columns, q, sample_cache_enabled_));
+    SVC_ASSIGN_OR_RETURN(
+        answer.result, SvcCorrEstimateGrouped(*exact, *samples, group_columns,
                                               q, opts.estimator));
   }
   return answer;

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "core/estimator.h"
+#include "core/identity_memo.h"
 #include "core/maintenance_policy.h"
 #include "core/policy.h"
 #include "core/sample_cache.h"
@@ -51,6 +52,19 @@ struct SvcGroupedAnswer {
   GroupedResult result;
   EstimatorMode mode_used = EstimatorMode::kCorr;
 };
+
+/// The exact stale answer q(S) that SVC+CORR corrects, through `memo`:
+/// ExactAggregateGrouped(*stale, group_columns, q) (a scalar query is the
+/// one-group case: no group columns), memoized per (view, query) while
+/// `stale` is the same table object. The stale view changes only at
+/// maintenance, which installs a new table, so between maintenance commits
+/// CORR queries reuse q(S) instead of re-aggregating the whole view. With
+/// `use_memo` false the memo is bypassed.
+Result<std::shared_ptr<const GroupedResult>> ExactStaleAnswer(
+    IdentityMemo<GroupedResult>* memo, const std::string& view,
+    const std::shared_ptr<const Table>& stale,
+    const std::vector<std::string>& group_columns, const AggregateQuery& q,
+    bool use_memo);
 
 /// How CleanSampleCached satisfied one request. ShardedEngine's fan-out
 /// collapses its shards' outcomes into one logical serving event per query
@@ -185,6 +199,12 @@ class SvcEngine {
     return sample_cache_->StatsSnapshot();
   }
 
+  /// Per-view counters of the stale-answer memo behind CORR queries
+  /// (shared, like the memo, by every fork of this engine).
+  std::map<std::string, MemoStats> StaleAnswerStats() const {
+    return stale_answers_->Stats();
+  }
+
   /// The memoized corresponding samples for a query against `name`,
   /// populated (or advanced, or revalidated) through the cache. This is
   /// the serving hot path behind Query/QueryGrouped; it is safe to call
@@ -253,6 +273,10 @@ class SvcEngine {
   std::shared_ptr<SampleCache> sample_cache_ =
       std::make_shared<SampleCache>();
   bool sample_cache_enabled_ = true;
+  /// Shared, not copied, by forks: an entry validates only against the
+  /// very table object it was computed from.
+  std::shared_ptr<IdentityMemo<GroupedResult>> stale_answers_ =
+      std::make_shared<IdentityMemo<GroupedResult>>();
 };
 
 }  // namespace svc

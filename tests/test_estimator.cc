@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "common/random.h"
+#include "core/bootstrap.h"
 #include "core/estimator.h"
 #include "tests/test_util.h"
 
@@ -270,6 +273,64 @@ TEST(CorrTest, AvgCorrection) {
   EXPECT_NEAR(e.value, truth, 0.4);
 }
 
+// The avg / median CORR interval is §5.2.5's bootstrap over pairs. This
+// reference builds each replicate the plain way (ResampleIndices, then
+// the fresh and stale values of the drawn pairs, then Mean/MedianInPlace)
+// and must agree with the estimator to the last bit.
+TEST(CorrTest, AvgMedianBootstrapMatchesResampleReference) {
+  Rng rng(211);
+  StaleFresh sf = MakeStaleFresh(&rng, 1500, 0.1, 0.1, 0.05);
+  CorrespondingSamples s = MakeSamples(sf.stale, sf.fresh, 0.2);
+  // Pairs in the estimator's order: fresh rows, then stale-only rows.
+  struct Pair {
+    std::vector<double> fresh, stale;  // zero or one value each
+  };
+  std::vector<Pair> pairs;
+  std::map<int64_t, size_t> by_id;
+  for (const Row& r : s.fresh.rows()) {
+    by_id[r[0].AsInt()] = pairs.size();
+    pairs.push_back({{r[1].AsDouble()}, {}});
+  }
+  for (const Row& r : s.stale.rows()) {
+    auto it = by_id.find(r[0].AsInt());
+    if (it != by_id.end()) {
+      pairs[it->second].stale = {r[1].AsDouble()};
+    } else {
+      pairs.push_back({{}, {r[1].AsDouble()}});
+    }
+  }
+  for (bool median : {false, true}) {
+    SCOPED_TRACE(median ? "median" : "avg");
+    auto stat = [&](const std::vector<size_t>& idx) {
+      std::vector<double> f, st;
+      for (size_t i : idx) {
+        f.insert(f.end(), pairs[i].fresh.begin(), pairs[i].fresh.end());
+        st.insert(st.end(), pairs[i].stale.begin(), pairs[i].stale.end());
+      }
+      if (median) return MedianInPlace(&f) - MedianInPlace(&st);
+      double fs = 0, ss = 0;
+      for (double x : f) fs += x;
+      for (double x : st) ss += x;
+      return (f.empty() ? 0.0 : fs / static_cast<double>(f.size())) -
+             (st.empty() ? 0.0 : ss / static_cast<double>(st.size()));
+    };
+    AggregateQuery q = median ? AggregateQuery::Median(Expr::Col("val"))
+                              : AggregateQuery::Avg(Expr::Col("val"));
+    EstimatorOptions opts;
+    SVC_ASSERT_OK_AND_ASSIGN(double exact, ExactAggregate(sf.stale, q));
+    std::vector<size_t> all(pairs.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    auto [lo, hi] = BootstrapPercentileInterval(
+        [&](Rng* r) { return stat(ResampleIndices(pairs.size(), r)); },
+        opts.bootstrap_iterations, opts.bootstrap_seed, opts.confidence);
+    SVC_ASSERT_OK_AND_ASSIGN(Estimate e, SvcCorrEstimate(sf.stale, s, q, opts));
+    EXPECT_EQ(e.value, exact + stat(all));
+    EXPECT_EQ(e.ci_low, exact + lo);
+    EXPECT_EQ(e.ci_high, exact + hi);
+    EXPECT_EQ(e.sample_rows, pairs.size());
+  }
+}
+
 TEST(GroupedTest, ExactGroupedMatchesPerGroupScan) {
   Rng rng(113);
   std::vector<double> vals;
@@ -279,16 +340,24 @@ TEST(GroupedTest, ExactGroupedMatchesPerGroupScan) {
     grps.push_back(rng.UniformInt(0, 3));
   }
   Table pop = MakePopulation(vals, 0, &grps);
-  AggregateQuery q = AggregateQuery::Sum(Expr::Col("val"));
-  SVC_ASSERT_OK_AND_ASSIGN(GroupedResult g,
-                           ExactAggregateGrouped(pop, {"grp"}, q));
-  EXPECT_EQ(g.group_keys.size(), 4u);
-  for (size_t i = 0; i < g.group_keys.size(); ++i) {
-    const int64_t grp = g.group_keys[i][0].AsInt();
-    AggregateQuery qq = AggregateQuery::Sum(
-        Expr::Col("val"), Expr::Eq(Expr::Col("grp"), Expr::LitInt(grp)));
-    SVC_ASSERT_OK_AND_ASSIGN(double want, ExactAggregate(pop, qq));
-    EXPECT_DOUBLE_EQ(g.estimates[i].value, want);
+  // The one-pass grouped evaluation adds each group's terms in row order,
+  // exactly as a scan restricted to the group does: bit-identical values.
+  for (AggFunc f : {AggFunc::kSum, AggFunc::kCountStar, AggFunc::kAvg,
+                    AggFunc::kMedian, AggFunc::kMin, AggFunc::kMax}) {
+    AggregateQuery q{f, f == AggFunc::kCountStar ? nullptr : Expr::Col("val"),
+                     nullptr};
+    SCOPED_TRACE(q.ToString());
+    SVC_ASSERT_OK_AND_ASSIGN(GroupedResult g,
+                             ExactAggregateGrouped(pop, {"grp"}, q));
+    EXPECT_EQ(g.group_keys.size(), 4u);
+    for (size_t i = 0; i < g.group_keys.size(); ++i) {
+      const int64_t grp = g.group_keys[i][0].AsInt();
+      AggregateQuery qq{q.func, q.attr,
+                        Expr::Eq(Expr::Col("grp"), Expr::LitInt(grp))};
+      SVC_ASSERT_OK_AND_ASSIGN(double want, ExactAggregate(pop, qq));
+      EXPECT_EQ(g.estimates[i].value, want);
+      EXPECT_FALSE(g.estimates[i].has_ci);
+    }
   }
 }
 

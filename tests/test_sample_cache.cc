@@ -5,11 +5,15 @@
 // the cache's counters proving which path (hit / incremental advance /
 // full re-clean) actually served each query. A SharedEngine test races
 // concurrent snapshot readers on one cache entry: exactly one cleaning run
-// may happen (the TSan job exercises the locking).
+// may happen (the TSan job exercises the locking). The stale-answer memo
+// behind CORR queries (core/identity_memo.h) is checked the same way: bit-
+// identical answers with it on or off, shared across forks, invalidated by
+// maintenance, never fooled by a freed-and-reallocated table, LRU-bounded.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -296,6 +300,127 @@ TEST(SampleCacheTest, ConcurrentSnapshotReadersPopulateOnce) {
     EXPECT_EQ(answers[t].estimate.sample_rows,
               answers[0].estimate.sample_rows);
   }
+}
+
+/// Every field of a grouped CORR answer, doubles in hex.
+std::string GroupedBits(const SvcGroupedAnswer& a) {
+  std::string out;
+  for (size_t g = 0; g < a.result.group_keys.size(); ++g) {
+    const Estimate& e = a.result.estimates[g];
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s:%a[%a,%a]%zu;",
+                  a.result.group_keys[g][0].ToString().c_str(), e.value,
+                  e.ci_low, e.ci_high, e.sample_rows);
+    out += buf;
+  }
+  return out;
+}
+
+MemoStats StaleStats(const SvcEngine& engine) {
+  auto stats = engine.StaleAnswerStats();
+  auto it = stats.find("V");
+  return it == stats.end() ? MemoStats{} : it->second;
+}
+
+// SvcEngine's stale-answer memo is shared by every fork: a fork hits the
+// entries its parent computed while the view table is the same object, an
+// ingest on the fork keeps hitting (the view is unchanged), and the fork's
+// maintenance misses. Every answer equals a cache-off copy's bit for bit.
+TEST(SampleCacheTest, StaleAnswerMemoSharedAcrossForksUntilMaintenance) {
+  SvcEngine engine = MakeFactEngine(kViews[3], 13, /*rows=*/200);
+  Rng rng(13);
+  int64_t next_id = 1000000;
+  IngestRandomInserts(&engine, &rng, &next_id, 10);
+  AggregateQuery q = AggregateQuery::Avg(Expr::Col("av"));
+  SvcQueryOptions opts;
+  opts.ratio = 0.5;
+  auto grouped = [&](const SvcEngine& e) {
+    Result<SvcGroupedAnswer> r = e.QueryGrouped("V", {"g"}, q, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? GroupedBits(*r) : std::string();
+  };
+  auto reference = [&](const SvcEngine& e) {
+    SvcEngine off(e);
+    off.set_sample_cache_enabled(false);
+    return grouped(off);
+  };
+
+  EXPECT_EQ(grouped(engine), reference(engine));
+  EXPECT_EQ(StaleStats(engine).misses, 1u);
+
+  SvcEngine fork(engine);
+  EXPECT_EQ(grouped(fork), reference(fork));
+  EXPECT_EQ(StaleStats(fork).hits, 1u) << "fork did not reuse the entry";
+  EXPECT_EQ(StaleStats(engine).hits, 1u) << "forks do not share the memo";
+
+  IngestRandomInserts(&fork, &rng, &next_id, 6);
+  SVC_ASSERT_OK(fork.DeleteRecord("F", (*fork.db()->GetTable("F"))->row(4)));
+  EXPECT_EQ(grouped(fork), reference(fork));
+  EXPECT_EQ(StaleStats(fork).misses, 1u) << "ingest invalidated the entry";
+
+  SVC_ASSERT_OK(fork.MaintainAll());
+  EXPECT_EQ(grouped(fork), reference(fork));
+  EXPECT_EQ(StaleStats(fork).misses, 2u) << "maintenance kept the entry";
+  // One entry per (view, query): it now holds the fork's maintained table,
+  // so the parent (still on the old table) misses, and recomputes the same
+  // answer as before.
+  EXPECT_EQ(grouped(engine), reference(engine));
+  EXPECT_EQ(StaleStats(engine).misses, 3u);
+}
+
+// A memo entry whose input was freed must miss, even when a new object
+// reuses the address (held weakly, the dead input stays expired).
+TEST(SampleCacheTest, IdentityMemoFreedInputNeverHits) {
+  IdentityMemo<int> memo;
+  int computed = 0;
+  auto lookup = [&](const std::shared_ptr<const Table>& t) {
+    return *memo
+                .GetOrCompute("V", "q", {t}, /*use_memo=*/true,
+                              [&]() -> Result<int> { return ++computed; })
+                .value();
+  };
+  auto table = std::make_shared<const Table>(FactSchema());
+  EXPECT_EQ(lookup(table), 1);
+  EXPECT_EQ(lookup(table), 1);
+  const void* old_address = table.get();
+  table.reset();
+  // Allocate until a table lands on the freed address (allocators reuse
+  // the block right away); the memo must miss whether or not one does.
+  std::vector<std::shared_ptr<const Table>> keep;
+  bool reused = false;
+  for (int i = 0; i < 64 && !reused; ++i) {
+    keep.push_back(std::make_shared<const Table>(FactSchema()));
+    reused = keep.back().get() == old_address;
+  }
+  EXPECT_EQ(lookup(keep.back()), 2) << (reused ? "address reused" : "");
+  EXPECT_EQ(memo.Stats().at("V").hits, 1u);
+  EXPECT_EQ(memo.Stats().at("V").misses, 2u);
+}
+
+// The memo holds at most kMaxEntries entries, evicting the least recently
+// used; with use_memo false it is bypassed (no entry, no counter).
+TEST(SampleCacheTest, IdentityMemoIsLruBounded) {
+  IdentityMemo<int> memo;
+  auto table = std::make_shared<const Table>(FactSchema());
+  int computed = 0;
+  auto lookup = [&](const std::string& key, bool use_memo = true) {
+    return *memo
+                .GetOrCompute("V", key, {table}, use_memo,
+                              [&]() -> Result<int> { return ++computed; })
+                .value();
+  };
+  constexpr size_t kMax = IdentityMemo<int>::kMaxEntries;
+  for (size_t k = 0; k < kMax; ++k) lookup(std::to_string(k));
+  EXPECT_EQ(lookup("0"), 1);  // refreshes key 0: key 1 is now the LRU
+  lookup("overflow");         // evicts key 1
+  EXPECT_EQ(computed, static_cast<int>(kMax) + 1);
+  EXPECT_EQ(lookup("0"), 1);
+  EXPECT_EQ(lookup("2"), 3);
+  EXPECT_EQ(lookup("1"), static_cast<int>(kMax) + 2) << "LRU entry kept";
+  const MemoStats before = memo.Stats().at("V");
+  EXPECT_EQ(lookup("0", /*use_memo=*/false), static_cast<int>(kMax) + 3);
+  EXPECT_EQ(memo.Stats().at("V").hits, before.hits);
+  EXPECT_EQ(memo.Stats().at("V").misses, before.misses);
 }
 
 }  // namespace

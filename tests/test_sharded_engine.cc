@@ -4,11 +4,16 @@
 // bit-identity of scatter-gather answers against an unsharded replica, and
 // a concurrency stress where readers race a writer across published cuts —
 // the sharded analog of test_concurrent_engine.cc, run under TSan by
-// `scripts/check.sh --tsan`.
+// `scripts/check.sh --tsan` — and the coordinator memos (merged samples,
+// exact stale answers): repeated CORR answers bit-identical to a cache-off
+// engine at 1, 2 and 4 shards, with hit/miss counters proving which
+// statements invalidate what.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -366,6 +371,199 @@ TEST(ShardedEngineTest, ConcurrentWritersSerializeValidationAndCommit) {
   SVC_ASSERT_OK_AND_ASSIGN(SqlResult all, setup->Execute("SELECT id FROM F;"));
   EXPECT_EQ(all.rows.NumRows(),
             static_cast<size_t>(kInitialRows + 2 * kWriterRounds * kPerRound));
+}
+
+// ---- Coordinator memos ----------------------------------------------------
+
+constexpr char kFactViewSql[] = "SELECT id, g, v FROM F";
+
+/// F(id, g, v): `rows` facts over five groups.
+Database MakeFactDb(int64_t rows) {
+  Database db;
+  Table fact(Schema({{"", "id", ValueType::kInt},
+                     {"", "g", ValueType::kInt},
+                     {"", "v", ValueType::kDouble}}));
+  EXPECT_TRUE(fact.SetPrimaryKey({"id"}).ok());
+  Rng rng(41);
+  for (int64_t id = 0; id < rows; ++id) {
+    EXPECT_TRUE(fact.Insert({Value::Int(id), Value::Int(rng.UniformInt(1, 5)),
+                             Value::Double(rng.UniformInt(0, 4000) / 16.0)})
+                    .ok());
+  }
+  // One value between the two near-equal literals of MemoQueries.
+  EXPECT_TRUE(fact.Insert({Value::Int(rows), Value::Int(1),
+                           Value::Double(100.00000015)})
+                  .ok());
+  EXPECT_TRUE(db.CreateTable("F", std::move(fact)).ok());
+  return db;
+}
+
+struct MemoQuery {
+  AggregateQuery q;
+  std::vector<std::string> group_by;  ///< empty = scalar
+};
+
+/// CORR queries over V: scalar and grouped, totals and the bootstrap-
+/// bounded avg / median, plus two predicates whose literals differ only
+/// past ToString()'s six significant digits (their answers differ).
+std::vector<MemoQuery> MemoQueries() {
+  std::vector<MemoQuery> out;
+  out.push_back({AggregateQuery::Sum(Expr::Col("v")), {}});
+  out.push_back({AggregateQuery::Count(), {}});
+  out.push_back({AggregateQuery::Avg(Expr::Col("v")), {}});
+  out.push_back({AggregateQuery::Median(Expr::Col("v")), {}});
+  for (double lit : {100.0000001, 100.0000002}) {
+    out.push_back({AggregateQuery::Count(
+                       Expr::Gt(Expr::Col("v"), Expr::LitDouble(lit))),
+                   {}});
+  }
+  out.push_back({AggregateQuery::Sum(Expr::Col("v")), {"g"}});
+  out.push_back({AggregateQuery::Avg(Expr::Col("v")), {"g"}});
+  out.push_back({AggregateQuery::Median(Expr::Col("v")), {"g"}});
+  return out;
+}
+
+/// Every field of an estimate, doubles in hex: equal strings mean
+/// bit-identical answers.
+std::string EstimateBits(const Estimate& e) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%a [%a, %a] ci=%d n=%zu", e.value,
+                e.ci_low, e.ci_high, e.has_ci ? 1 : 0, e.sample_rows);
+  return buf;
+}
+
+/// One line per (query, group) answered on `eng`'s current cut.
+std::vector<std::string> MemoAnswers(const ShardedEngine& eng) {
+  ShardedSnapshotPtr snap = eng.Snapshot();
+  SvcQueryOptions opts;
+  opts.ratio = 0.3;
+  std::vector<std::string> out;
+  for (const MemoQuery& mq : MemoQueries()) {
+    const std::string name = mq.q.ToString();
+    if (mq.group_by.empty()) {
+      Result<SvcAnswer> r = eng.Query(*snap, "V", mq.q, opts);
+      EXPECT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      if (r.ok()) out.push_back(name + " " + EstimateBits(r->estimate));
+      continue;
+    }
+    Result<SvcGroupedAnswer> r =
+        eng.QueryGrouped(*snap, "V", mq.group_by, mq.q, opts);
+    EXPECT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+    if (!r.ok()) continue;
+    for (size_t g = 0; g < r->result.group_keys.size(); ++g) {
+      out.push_back(name + " g=" + r->result.group_keys[g][0].ToString() +
+                    " " + EstimateBits(r->result.estimates[g]));
+    }
+  }
+  return out;
+}
+
+MemoStats StatsFor(const std::map<std::string, MemoStats>& stats) {
+  auto it = stats.find("V");
+  return it == stats.end() ? MemoStats{} : it->second;
+}
+
+// The memos must never change an answer: across INSERT, DELETE and
+// REFRESH, repeated CORR answers on a memoizing engine equal a cache-off
+// engine's bit for bit at every shard count. The counters prove the
+// validity rule: the stale-answer memo survives statements that leave the
+// view table alone (INSERT, DELETE) and misses once per query after
+// REFRESH; the merged-sample memo misses once per statement that moves a
+// shard's sample and hits whenever every shard hit.
+TEST(ShardedEngineTest, CorrMemosBitIdenticalToCacheOffAcrossStatements) {
+  const size_t num_queries = MemoQueries().size();
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedEngine warm(MakeFactDb(300), shards);
+    ShardedEngine cold(MakeFactDb(300), shards);
+    cold.set_sample_cache_enabled(false);
+    for (ShardedEngine* eng : {&warm, &cold}) {
+      SVC_ASSERT_OK(eng->CreateView("V", PlanOf(*eng, kFactViewSql)));
+    }
+    ASSERT_TRUE(warm.Snapshot()->meta->IsPartitionedView("V"));
+    int64_t next_id = 1000;
+    auto insert = [&](ShardedEngine* eng) {
+      std::vector<Row> rows;
+      for (int64_t i = 0; i < 20; ++i) {
+        rows.push_back({Value::Int(next_id + i), Value::Int(1 + i % 5),
+                        Value::Double(static_cast<double>(i) * 7.5)});
+      }
+      return eng->InsertRows("F", std::move(rows));
+    };
+    auto remove = [&](ShardedEngine* eng) {
+      std::vector<Row> rows;
+      std::shared_ptr<const Table> f =
+          eng->GatherTable(*eng->Snapshot(), "F").value();
+      for (int64_t id : {3, 17, 42, 99}) {
+        for (const Row& r : f->rows()) {
+          if (r[0].AsInt() == id) rows.push_back(r);
+        }
+      }
+      return eng->DeleteRows("F", std::move(rows));
+    };
+    auto refresh = [](ShardedEngine* eng) { return eng->Refresh(); };
+    struct Step {
+      const char* name;
+      std::function<Status(ShardedEngine*)> apply;
+      bool view_changes;
+    };
+    const Step steps[] = {{"insert", insert, false},
+                          {"delete", remove, false},
+                          {"refresh", refresh, true},
+                          {"insert after refresh", insert, false}};
+    bool first = true;
+    for (const Step& step : steps) {
+      SCOPED_TRACE(step.name);
+      SVC_ASSERT_OK(step.apply(&warm));
+      SVC_ASSERT_OK(step.apply(&cold));
+      next_id += 100;
+      const MemoStats stale0 = StatsFor(warm.StaleAnswerStats());
+      const MemoStats merged0 = StatsFor(warm.MergedSampleStats());
+      const std::vector<std::string> want = MemoAnswers(cold);
+      EXPECT_EQ(MemoAnswers(warm), want);
+      EXPECT_EQ(MemoAnswers(warm), want);  // the all-hit pass
+      const MemoStats stale1 = StatsFor(warm.StaleAnswerStats());
+      const MemoStats merged1 = StatsFor(warm.MergedSampleStats());
+      const uint64_t expect_misses =
+          first || step.view_changes ? num_queries : 0;
+      EXPECT_EQ(stale1.misses - stale0.misses, expect_misses);
+      EXPECT_EQ(stale1.hits - stale0.hits, 2 * num_queries - expect_misses);
+      EXPECT_EQ(merged1.misses - merged0.misses, 1u);
+      EXPECT_EQ(merged1.hits - merged0.hits, 2 * num_queries - 1);
+      first = false;
+    }
+    // The cache-off engine never consults (or counts in) its memos.
+    EXPECT_TRUE(cold.StaleAnswerStats().empty());
+    EXPECT_TRUE(cold.MergedSampleStats().empty());
+  }
+}
+
+// Concurrent readers of one cut answering grouped CORR queries through
+// the coordinator memos: every reader gets the cache-off answer (the TSan
+// job exercises the memo locking; two concurrent misses may both compute).
+TEST(ShardedEngineTest, ConcurrentReadersShareCoordinatorMemos) {
+  ShardedEngine warm(MakeFactDb(400), 4);
+  ShardedEngine cold(MakeFactDb(400), 4);
+  cold.set_sample_cache_enabled(false);
+  for (ShardedEngine* eng : {&warm, &cold}) {
+    SVC_ASSERT_OK(eng->CreateView("V", PlanOf(*eng, kFactViewSql)));
+    SVC_ASSERT_OK(eng->InsertRecord(
+        "F", {Value::Int(5000), Value::Int(2), Value::Double(12.5)}));
+  }
+  const std::vector<std::string> want = MemoAnswers(cold);
+  constexpr int kMemoReaders = 6;
+  std::vector<std::vector<std::string>> got(kMemoReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kMemoReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) got[t] = MemoAnswers(warm);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int t = 0; t < kMemoReaders; ++t) EXPECT_EQ(got[t], want);
+  const MemoStats stale = StatsFor(warm.StaleAnswerStats());
+  EXPECT_GE(stale.misses, MemoQueries().size());
+  EXPECT_GT(stale.hits, 0u);
 }
 
 }  // namespace
